@@ -17,6 +17,7 @@ from .errors import (
     FaultAtlasError,
     InvalidDimensionError,
     InvalidWitnessError,
+    InvariantError,
     OracleRangeError,
     ParitySpaceTooLargeError,
     WitnessDecodeError,
@@ -61,6 +62,7 @@ __all__ = [
     "FeasibilityReport",
     "InvalidDimensionError",
     "InvalidWitnessError",
+    "InvariantError",
     "OracleRangeError",
     "ParitySpaceTooLargeError",
     "ParitySystem",

@@ -184,8 +184,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
                 board = build_board(topo, a, b)
                 if not classify(board).tileable:
                     continue
-                tiling = witness(board, store=store, budget=_budget(args))
-                assert verify(board, tiling).fault_free
+                witness(board, store=store, budget=_budget(args))
     return EXIT_OK
 
 

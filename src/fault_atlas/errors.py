@@ -29,5 +29,9 @@ class WitnessUnavailableError(FaultAtlasError):
     """Search budget exhausted before a witness was produced (not a negative verdict)."""
 
 
+class InvariantError(FaultAtlasError):
+    """An internal consistency check failed: a bug, not bad input."""
+
+
 class ParitySpaceTooLargeError(FaultAtlasError):
     """The GF(2) solution set exceeds the enumeration guard (2^16 classes)."""

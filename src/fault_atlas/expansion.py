@@ -21,8 +21,8 @@ row edge).
 from __future__ import annotations
 
 from .errors import ExpansionFailedError
-from .tiling import Tiling, verify
-from .topology import Topology, build_board, placement_index
+from .tiling import Tiling, tiling_from_edges, verify
+from .topology import Topology, build_board
 
 ROWS = "rows"
 COLS = "cols"
@@ -53,7 +53,6 @@ class _Cut:
             a + 2 if axis == ROWS else a,
             b if axis == ROWS else b + 2,
         )
-        self.new_index = placement_index(self.new_board)
         self.leaves = 0
         self.nodes = 0
 
@@ -177,8 +176,7 @@ class _Cut:
                     new_edges.append(("h", line, off + 2 * (off >= v[upper])))
             for r in range(a):
                 new_edges.append(("v", v[r] + 1, r))
-        dominoes = frozenset(self.new_index[key] for key in new_edges)
-        return Tiling(self.new_board, dominoes)
+        return tiling_from_edges(self.new_board, new_edges)
 
 
 def expand(tiling: Tiling, axis: str) -> Tiling:

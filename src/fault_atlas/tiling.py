@@ -4,6 +4,11 @@ Parsing and semantic validation are deliberately separate: `decode` accepts
 any structurally well-formed document (wrong domino counts included), and
 `verify` then reports the defects, so a bad witness yields a structured
 report rather than a crash.
+
+None of them builds a table of the board's placements or fault curves: each
+domino's cells and fault curve are computed from its crossing edge.  `decode`
+therefore does work in proportion to the document, whatever board it claims;
+`verify` also counts coverage per cell of the board.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ from .topology import (
     CrossingEdge,
     Placement,
     Topology,
+    _curve_id,
+    _edge_cells,
+    _is_int,
     build_board,
-    curve_index,
-    fault_curves,
-    placement_index,
 )
 
 
@@ -52,19 +57,19 @@ def verify(board: BoardSpec, tiling: Tiling) -> VerificationReport:
     """
     if tiling.board != board:
         raise InvalidWitnessError(f"tiling is for {tiling.board}, not {board}")
-    known = placement_index(board)
-    coverage = {cell: 0 for cell in board.cells()}
-    crossings = {curve.id: 0 for curve in fault_curves(board)}
-    edge_to_curve = curve_index(board)
+    b = board.b
+    coverage = bytearray(board.area)
+    crossings = dict.fromkeys(range(_curve_id(board, "v", b)), 0)
     for plc in tiling.dominoes:
-        expected = known.get(plc.edge.key())
-        if expected is None or set(expected.cells) != set(plc.cells):
+        axis, line, offset = plc.edge.key()
+        expected = _edge_cells(board, axis, line, offset)
+        if expected is None or set(expected) != set(plc.cells):
             raise InvalidWitnessError(f"foreign placement {plc} on board {board}")
-        for cell in plc.cells:
-            coverage[cell] += 1
-        crossings[edge_to_curve[plc.edge.key()]] += 1
-    uncovered = tuple(sorted(c for c, n in coverage.items() if n == 0))
-    doubled = tuple(sorted(c for c, n in coverage.items() if n > 1))
+        for r, c in expected:
+            coverage[r * b + c] += 1
+        crossings[_curve_id(board, axis, line)] += 1
+    uncovered = tuple(divmod(i, b) for i, n in enumerate(coverage) if n == 0)
+    doubled = tuple(divmod(i, b) for i, n in enumerate(coverage) if n > 1)
     matching_valid = not uncovered and not doubled
     uncrossed = tuple(cid for cid, n in sorted(crossings.items()) if n == 0)
     return VerificationReport(
@@ -79,11 +84,13 @@ def verify(board: BoardSpec, tiling: Tiling) -> VerificationReport:
 
 def tiling_from_edges(board: BoardSpec, edges: "list[CrossingEdge] | list[tuple[str, int, int]]") -> Tiling:
     """Build a tiling from crossing edges known to exist on the board."""
-    table = placement_index(board)
     dominoes = []
     for edge in edges:
         key = edge.key() if isinstance(edge, CrossingEdge) else (edge[0], edge[1], edge[2])
-        dominoes.append(table[key])
+        cells = _edge_cells(board, *key)
+        if cells is None:
+            raise InvalidWitnessError(f"no edge {key} on {board}")
+        dominoes.append(Placement(CrossingEdge(*key), cells))
     return Tiling(board, frozenset(dominoes))
 
 
@@ -124,12 +131,11 @@ def decode(text: str) -> Tiling:
         entries = doc["dominoes"]
     except (KeyError, ValueError) as exc:
         raise WitnessDecodeError(f"missing or invalid field: {exc}") from exc
-    if not isinstance(a, int) or not isinstance(b, int) or a < 1 or b < 1:
+    if not _is_int(a) or not _is_int(b) or a < 1 or b < 1:
         raise WitnessDecodeError(f"dimension mismatch: bad dimensions {a!r} x {b!r}")
     if not isinstance(entries, list):
         raise WitnessDecodeError("dominoes must be a list")
     board = build_board(topology, a, b)
-    table = placement_index(board)
     dominoes = []
     seen = set()
     for entry in entries:
@@ -138,22 +144,24 @@ def decode(text: str) -> Tiling:
             cells = entry["cells"]
         except (KeyError, TypeError, ValueError) as exc:
             raise WitnessDecodeError(f"malformed domino entry {entry!r}: {exc}") from exc
+        if not isinstance(axis, str) or not _is_int(line) or not _is_int(offset):
+            raise WitnessDecodeError(f"malformed edge id {entry['edge']!r}")
         key = (axis, line, offset)
-        plc = table.get(key)
-        if plc is None:
+        expected = _edge_cells(board, axis, line, offset)
+        if expected is None:
             raise WitnessDecodeError(f"unknown edge id {key} on {board}")
         if key in seen:
             raise WitnessDecodeError(f"duplicate edge id {key}")
         seen.add(key)
         try:
             declared_cells = {tuple(cells[0]), tuple(cells[1])}
-        except (IndexError, TypeError) as exc:
+        except (IndexError, KeyError, TypeError) as exc:
             raise WitnessDecodeError(f"malformed cells in {entry!r}: {exc}") from exc
-        if declared_cells != set(plc.cells):
+        if declared_cells != set(expected):
             raise WitnessDecodeError(
-                f"cells {sorted(declared_cells)} disagree with edge {key} -> {sorted(plc.cells)}"
+                f"cells {sorted(declared_cells)} disagree with edge {key} -> {sorted(expected)}"
             )
-        dominoes.append(plc)
+        dominoes.append(Placement(CrossingEdge(axis, line, offset), expected))
     return Tiling(board, frozenset(dominoes))
 
 

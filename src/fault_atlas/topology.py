@@ -50,6 +50,11 @@ class Topology(str, enum.Enum):
         return self is Topology.MOBIUS
 
 
+def _is_int(value: object) -> bool:
+    """An integer that is not a bool: bool is an int subclass but no dimension or index."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BoardSpec:
     """A board: topology plus height a (rows) and width b (columns)."""
@@ -59,7 +64,7 @@ class BoardSpec:
     b: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
+        if not (_is_int(self.a) and _is_int(self.b)):
             raise InvalidDimensionError(f"dimensions must be integers, got {self.a!r} x {self.b!r}")
         if self.a < 1 or self.b < 1:
             raise InvalidDimensionError(f"dimensions must be >= 1, got {self.a} x {self.b}")
@@ -163,28 +168,62 @@ def _seam_cells(board: BoardSpec, r: int) -> tuple[Cell, Cell] | None:
     return ((r, b - 1), (r, 0))
 
 
+# Enum members read through the class cost about 0.2 us each on Python 3.11;
+# the per-domino helpers below compare against these names instead.
+_RECTANGLE, _TORUS, _MOBIUS = Topology.RECTANGLE, Topology.TORUS, Topology.MOBIUS
+
+
+def _edge_cells(board: BoardSpec, axis: str, line: int, offset: int) -> tuple[Cell, Cell] | None:
+    """Cells of the domino crossing edge (axis, line, offset), or None if the board has no such edge."""
+    a, b = board.a, board.b
+    if axis == "h":
+        if not 0 <= offset < b:
+            return None
+        if 0 < line < a:
+            return ((line - 1, offset), (line, offset))
+        if line == 0 and a > 1 and board.topology is _TORUS:  # the glued row edge
+            return ((a - 1, offset), (0, offset))
+        return None
+    if axis == "v":
+        if not 0 <= offset < a:
+            return None
+        if 0 < line < b:
+            return ((offset, line - 1), (offset, line))
+        if line == 0 and board.topology is not _RECTANGLE:
+            return _seam_cells(board, offset)
+    return None
+
+
+def _curve_id(board: BoardSpec, axis: str, line: int) -> int:
+    """Id of the fault curve through grid line `line` of the axis ("h" or "v").
+
+    Horizontal curves come first in line order: a of them on a torus, a // 2
+    on a Moebius strip (line l shares the curve of line a-l), a-1 otherwise.
+    Vertical curves follow, from line 0 (the seam) or, on a rectangle, line
+    1.  The id a vertical line b would get is the number of curves.
+    """
+    topo, a = board.topology, board.a
+    if axis == "h":
+        if topo is _MOBIUS:
+            return min(line, a - line) - 1
+        return line if topo is _TORUS else line - 1
+    if topo is _RECTANGLE:
+        return a - 2 + line
+    if topo is _MOBIUS:
+        return a // 2 + line
+    return a + line if topo is _TORUS else a - 1 + line
+
+
 @functools.lru_cache(maxsize=None)
 def _edge_table(board: BoardSpec) -> tuple[Placement, ...]:
     """All placements of the board, in canonical (axis, line, offset) order."""
-    a, b, topo = board.a, board.b, board.topology
     out: list[Placement] = []
-    h_lines = range(a) if topo is Topology.TORUS else range(1, a)
-    for line in h_lines:
-        upper = (line - 1) % a
-        lower = line % a
-        if upper == lower:  # torus with a == 1
-            continue
-        for c in range(b):
-            out.append(Placement(CrossingEdge("h", line, c), ((upper, c), (lower, c))))
-    for line in range(1, b):
-        for r in range(a):
-            out.append(Placement(CrossingEdge("v", line, r), ((r, line - 1), (r, line))))
-    if topo.wraps_cols:
-        for r in range(a):
-            joined = _seam_cells(board, r)
-            if joined is not None:
-                out.append(Placement(CrossingEdge("v", 0, r), joined))
-    out.sort(key=lambda p: p.edge.key())
+    for axis, lines, offsets in (("h", board.a, board.b), ("v", board.b, board.a)):
+        for line in range(lines):
+            for offset in range(offsets):
+                cells = _edge_cells(board, axis, line, offset)
+                if cells is not None:
+                    out.append(Placement(CrossingEdge(axis, line, offset), cells))
     return tuple(out)
 
 
@@ -194,52 +233,22 @@ def placements(board: BoardSpec) -> tuple[Placement, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def placement_index(board: BoardSpec) -> dict[tuple[str, int, int], Placement]:
-    return {p.edge.key(): p for p in _edge_table(board)}
-
-
-def _horizontal_curve_keys(board: BoardSpec) -> list[frozenset[int]]:
-    a, topo = board.a, board.topology
-    if topo is Topology.TORUS:
-        return [frozenset({line}) for line in range(a)]
-    if topo is Topology.MOBIUS:
-        keys = []
-        for line in range(1, a):
-            pair = frozenset({line, a - line})
-            if pair not in keys:
-                keys.append(pair)
-        return keys
-    return [frozenset({line}) for line in range(1, a)]
-
-
-@functools.lru_cache(maxsize=None)
 def fault_curves(board: BoardSpec) -> tuple[FaultCurve, ...]:
     """All fold loci with their crossing-edge sets (possibly empty)."""
-    by_key: dict[tuple[str, frozenset[int]], list[CrossingEdge]] = {}
-    for key in _horizontal_curve_keys(board):
-        by_key[("horizontal", key)] = []
-    v_lines = range(board.b) if board.topology.wraps_cols else range(1, board.b)
-    for line in v_lines:
-        by_key[("vertical", frozenset({line}))] = []
+    topo = board.topology
+    h_lines = range(board.a) if topo is Topology.TORUS else range(1, board.a)
+    v_lines = range(board.b) if topo.wraps_cols else range(1, board.b)
+    curves: dict[int, tuple[str, set[int], list[CrossingEdge]]] = {}
+    line_curve: dict[tuple[str, int], int] = {}
+    for axis, name, lines in (("h", "horizontal", h_lines), ("v", "vertical", v_lines)):
+        for line in lines:
+            cid = line_curve[axis, line] = _curve_id(board, axis, line)
+            curves.setdefault(cid, (name, set(), []))[1].add(line)
     for plc in _edge_table(board):
         edge = plc.edge
-        if edge.axis == "h":
-            if board.topology is Topology.MOBIUS:
-                key = ("horizontal", frozenset({edge.line, board.a - edge.line}))
-            else:
-                key = ("horizontal", frozenset({edge.line}))
-        else:
-            key = ("vertical", frozenset({edge.line}))
-        by_key[key].append(edge)
-
-    def order(item: tuple[tuple[str, frozenset[int]], list[CrossingEdge]]) -> tuple[int, int]:
-        (axis, lines), _ = item
-        return (0 if axis == "horizontal" else 1, min(lines))
-
-    curves = []
-    for cid, ((axis, lines), edges) in enumerate(sorted(by_key.items(), key=order)):
-        curves.append(FaultCurve(cid, axis, lines, frozenset(edges)))
-    return tuple(curves)
+        curves[line_curve[edge.axis, edge.line]][2].append(edge)
+    return tuple(FaultCurve(cid, name, frozenset(lines), frozenset(edges))
+                 for cid, (name, lines, edges) in sorted(curves.items()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,4 +262,6 @@ def curve_index(board: BoardSpec) -> dict[tuple[str, int, int], int]:
 
 
 def curve_of(board: BoardSpec, edge: CrossingEdge) -> FaultCurve:
-    return fault_curves(board)[curve_index(board)[edge.key()]]
+    if _edge_cells(board, *edge.key()) is None:
+        raise KeyError(edge.key())
+    return fault_curves(board)[_curve_id(board, edge.axis, edge.line)]

@@ -1,18 +1,23 @@
-"""Witness construction: base cases, expansion chains, search fallback, cache.
+"""Witness construction: base cases, memoized expansion chains, search fallback, cache.
 
 Order of attack for a tileable board: exact base match (searched directly),
 then the shortest expansion chain from the nearest family base, then a
-budgeted direct search.  Every returned tiling has been re-verified.
+budgeted direct search.  A chain applies n row expansions and then m column
+expansions to its family's base.  Every prefix of a chain is memoized, so a
+board whose chain extends one grown before (a x (b-2) in the same family,
+say) costs one expansion; the chain and so the witness bytes are the same as
+growing from the base each time.  Every returned tiling has been re-verified.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .classify import classify, matching_tileable_families
-from .errors import ExpansionFailedError, WitnessUnavailableError
+from .errors import ExpansionFailedError, InvariantError, WitnessDecodeError, WitnessUnavailableError
 from .expansion import COLS, ROWS, expand
 from .search import SearchBudget, find_fault_free
 from .tiling import Tiling, decode_for_board, encode, verify, tiling_from_edges
@@ -21,6 +26,9 @@ from .topology import BoardSpec, Topology, build_board
 CACHE_ENV = "FAULT_ATLAS_CACHE"
 
 _FALLBACK_BUDGET = SearchBudget(max_nodes=20_000_000)
+
+# Chain prefixes kept in memory; an evicted prefix is grown again when needed.
+_CHAIN_MEMO = 128
 
 
 class WitnessStore:
@@ -34,9 +42,12 @@ class WitnessStore:
 
     def load(self, board: BoardSpec) -> Tiling | None:
         path = self.path_for(board)
-        if not path.exists():
+        try:
+            tiling = decode_for_board(path.read_text(encoding="utf-8"), board)
+        except FileNotFoundError:
             return None
-        tiling = decode_for_board(path.read_text(encoding="utf-8"), board)
+        except (UnicodeDecodeError, WitnessDecodeError):
+            return None  # corrupt entry, or one written for another board; rebuild
         if not verify(board, tiling).fault_free:
             return None  # stale or tampered cache entry; rebuild
         return tiling
@@ -44,7 +55,13 @@ class WitnessStore:
     def save(self, tiling: Tiling) -> Path:
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(tiling.board)
-        path.write_text(encode(tiling), encoding="utf-8")
+        # Write beside the entry, then rename over it, so no reader sees half a file.
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(encode(tiling), encoding="utf-8")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         return path
 
 
@@ -64,17 +81,12 @@ class BaseCase:
     witness: Tiling
 
 
-_base_cache: dict[BoardSpec, Tiling] = {}
-
-
+@functools.lru_cache(maxsize=None)  # one entry per family base
 def _base_witness(board: BoardSpec) -> Tiling:
-    got = _base_cache.get(board)
-    if got is None:
-        outcome = find_fault_free(board)
-        assert outcome.status == "found", f"base case {board} must be tileable"
-        got = outcome.witness
-        _base_cache[board] = got
-    return got
+    outcome = find_fault_free(board)
+    if outcome.status != "found":
+        raise InvariantError(f"base case {board} must be tileable")
+    return outcome.witness
 
 
 def base_cases(topology: Topology) -> list[BaseCase]:
@@ -87,7 +99,8 @@ def base_cases(topology: Topology) -> list[BaseCase]:
 def _transpose(tiling: Tiling) -> Tiling:
     """Swap rows and columns of a torus tiling (tori are swap-symmetric)."""
     board = tiling.board
-    assert board.topology is Topology.TORUS
+    if board.topology is not Topology.TORUS:
+        raise InvariantError(f"only a torus tiling can be transposed, not {board}")
     flipped = build_board(Topology.TORUS, board.b, board.a)
     edges = []
     for p in tiling.dominoes:
@@ -96,26 +109,47 @@ def _transpose(tiling: Tiling) -> Tiling:
     return tiling_from_edges(flipped, edges)
 
 
+@functools.lru_cache(maxsize=_CHAIN_MEMO)
+def _grown(base: BoardSpec, n: int, m: int) -> Tiling | None:
+    """The base witness after n row and then m column expansions; None if a step fails.
+
+    Only _chain calls this, prefix by prefix, so the prefix asked for here is
+    the entry made or found just before.
+    """
+    if n == 0 and m == 0:
+        return _base_witness(base)
+    prefix = _grown(base, n, m - 1) if m else _grown(base, n - 1, 0)
+    if prefix is None:
+        return None
+    try:
+        return expand(prefix, COLS if m else ROWS)
+    except ExpansionFailedError:
+        return None
+
+
+def _chain(base: BoardSpec, n: int, m: int) -> Tiling | None:
+    """Walk the chain from the base; each prefix not yet memoized costs one expand."""
+    steps = [(i, 0) for i in range(n + 1)] + [(n, j) for j in range(1, m + 1)]
+    current = None
+    for i, j in steps:
+        current = _grown(base, i, j)
+        if current is None:
+            break
+    return current
+
+
 def _expansion_chain(board: BoardSpec) -> Tiling | None:
     """Grow a witness from the nearest family base; None if every path fails."""
-    a, b = board.a, board.b
-    swapped = board.topology is Topology.TORUS and a < b
-    if swapped:
-        a, b = b, a
+    swapped = board.topology is Topology.TORUS and board.a < board.b
     options = sorted(matching_tileable_families(board), key=lambda t: (t[1] + t[2], t[0].id))
     for fam, n, m in options:
-        base = build_board(board.topology, *fam.base)
-        current = _base_witness(base)
-        try:
-            for _ in range(n):
-                current = expand(current, ROWS)
-            for _ in range(m):
-                current = expand(current, COLS)
-        except ExpansionFailedError:
+        current = _chain(build_board(board.topology, *fam.base), n, m)
+        if current is None:
             continue
         if swapped:
             current = _transpose(current)
-        assert current.board == board
+        if current.board != board:
+            raise InvariantError(f"chain from {fam.base} grew {current.board}, not {board}")
         return current
     return None
 
@@ -143,9 +177,9 @@ def witness(board: BoardSpec, *, store: WitnessStore | None = None,
         elif outcome.status == "inconclusive":
             raise WitnessUnavailableError(f"search budget exhausted on {board}")
         else:
-            raise AssertionError(f"classify says tileable but search exhausted {board}")
-    report = verify(board, result)
-    assert report.fault_free
+            raise InvariantError(f"classify says tileable but search exhausted {board}")
+    if not verify(board, result).fault_free:
+        raise InvariantError(f"witness for {board} fails verification")
     if store is not None:
         store.save(result)
     return result

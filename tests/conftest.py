@@ -11,10 +11,13 @@ these oracles.
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 from typing import Iterator
 
 import pytest
 
+import fault_atlas
 from fault_atlas import (
     BoardSpec,
     Tiling,
@@ -37,6 +40,12 @@ def boards_upto(max_a: int, max_b: int | None = None, *, max_area: int | None = 
                 if max_area is not None and a * b > max_area:
                     continue
                 yield build_board(topo, a, b)
+
+
+def package_env() -> dict[str, str]:
+    """The environment for a child interpreter, this checkout's package first on its path."""
+    src = str(Path(fault_atlas.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def enumerate_matchings(board: BoardSpec) -> Iterator[frozenset]:

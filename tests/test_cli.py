@@ -108,6 +108,18 @@ class TestSolveVerifyRenderExpand:
                            "--format", "svg")
         assert code == 0 and out.startswith("<svg")
 
+    def test_solve_rebuilds_truncated_cache_entry(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("FAULT_ATLAS_CACHE", raising=False)
+        argv = ("solve", "--topology", "cylinder", "--a", "4", "--b", "22", "--witnesses", str(tmp_path))
+        code, first, _ = run(capsys, *argv)
+        assert code == 0
+        entry = tmp_path / "cylinder_4x22.json"
+        entry.write_text(first[: len(first) // 2], encoding="utf-8")
+        code, again, _ = run(capsys, *argv)
+        assert code == 0
+        assert again == first
+        assert entry.read_text(encoding="utf-8") == first
+
     def test_tampered_witness_exit_3(self, capsys, tmp_path):
         wfile = tmp_path / "w.json"
         run(capsys, "solve", "--topology", "rectangle", "--a", "5", "--b", "6",

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -20,6 +23,7 @@ from fault_atlas import (
     verify,
 )
 from fault_atlas.tiling import tiling_from_edges
+from conftest import package_env
 
 
 class TestVerify:
@@ -129,3 +133,45 @@ class TestWitnessFormat:
     def test_decode_for_board_rejects_mismatch(self, witness_5x6):
         with pytest.raises(WitnessDecodeError):
             decode_for_board(encode(witness_5x6), build_board("rectangle", 5, 8))
+
+    @pytest.mark.parametrize("field,value", [("a", True), ("b", False), ("a", 2.0), ("b", "2")])
+    def test_dimensions_must_be_integers(self, field, value):
+        doc = {"topology": "rectangle", "a": 2, "b": 2, "dominoes": []}
+        doc[field] = value
+        with pytest.raises(WitnessDecodeError):
+            decode(json.dumps(doc))
+
+    @pytest.mark.parametrize("edge", [
+        [["h"], 1, 0], [1, 1, 0], ["v", True, 0], ["v", 1.0, 0], ["v", "1", 0],
+        ["v", 1, False], ["v", 1, 0.0], ["v", 1, [0]],
+    ])
+    def test_edge_fields_must_be_typed(self, edge):
+        doc = {"topology": "rectangle", "a": 2, "b": 2,
+               "dominoes": [{"edge": edge, "cells": [[0, 0], [0, 1]]}]}
+        with pytest.raises(WitnessDecodeError):
+            decode(json.dumps(doc))
+
+    def test_huge_claimed_board_costs_only_the_document(self):
+        # In a child capped at 1 GiB of address space, so a decode that
+        # allocates per cell fails there instead of exhausting the machine.
+        script = textwrap.dedent("""
+            import json, resource, time, tracemalloc
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from fault_atlas import decode
+            doc = {"topology": "torus", "a": 10**9, "b": 10**9,
+                   "dominoes": [{"edge": ["h", 0, 5], "cells": [[10**9 - 1, 5], [0, 5]]}]}
+            text = json.dumps(doc)
+            tracemalloc.start()
+            start = time.perf_counter()
+            tiling = decode(text)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+            print(tiling.board.area == 10**18, len(tiling.dominoes), peak, elapsed)
+        """)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=package_env(), timeout=60)
+        assert done.returncode == 0, done.stderr[-500:]
+        same_area, count, peak, elapsed = done.stdout.split()
+        assert same_area == "True" and count == "1"
+        assert int(peak) < 100_000
+        assert float(elapsed) < 1.0

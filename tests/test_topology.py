@@ -13,6 +13,7 @@ from fault_atlas import (
     fault_curves,
     placements,
 )
+from fault_atlas.topology import _curve_id, _edge_cells
 from conftest import boards_upto, walk_horizontal_locus
 
 
@@ -41,6 +42,11 @@ class TestBuildBoard:
 
     @pytest.mark.parametrize("a,b", [(0, 5), (5, 0), (-1, 3), (0, 0)])
     def test_invalid_dimensions(self, a, b):
+        with pytest.raises(InvalidDimensionError):
+            build_board("rectangle", a, b)
+
+    @pytest.mark.parametrize("a,b", [(True, 2), (2, False), (True, True), (2.0, 2)])
+    def test_non_integer_dimensions(self, a, b):
         with pytest.raises(InvalidDimensionError):
             build_board("rectangle", a, b)
 
@@ -131,6 +137,25 @@ class TestFaultCurves:
                 if curve.axis == "horizontal"
             }
             assert walked == from_curves, board
+
+
+class TestEdgeGeometry:
+    """The arithmetic edge helpers that verify and decode use instead of tables."""
+
+    def test_helpers_agree_with_tables(self):
+        for board in boards_upto(10):
+            cells_of = {p.edge.key(): p.cells for p in placements(board)}
+            curve_of_edge = {e.key(): c.id for c in fault_curves(board) for e in c.crossing_edges}
+            probe = range(-1, max(board.a, board.b) + 2)
+            for axis in ("h", "v", "x"):
+                for line in probe:
+                    for offset in probe:
+                        key = (axis, line, offset)
+                        cells = _edge_cells(board, *key)
+                        assert cells == cells_of.get(key), (board, key)
+                        if cells is not None:
+                            assert _curve_id(board, axis, line) == curve_of_edge[key], (board, key)
+            assert _curve_id(board, "v", board.b) == len(fault_curves(board)), board
 
 
 class TestCellColor:

@@ -2,16 +2,29 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from fault_atlas import (
+    ExpansionFailedError,
+    Topology,
     WitnessStore,
+    base_cases,
     build_board,
+    classify,
     encode,
+    expand,
+    find_fault_free,
     verify,
     witness,
 )
-from fault_atlas.witnesses import default_store
+from fault_atlas.classify import matching_tileable_families
+from fault_atlas.tiling import tiling_from_edges
+from fault_atlas.witnesses import _grown, default_store
+from conftest import package_env
 
 
 class TestWitness:
@@ -72,6 +85,33 @@ class TestStore:
         assert verify(board, rebuilt).fault_free
         assert store.load(board) == rebuilt
 
+    def test_truncated_entry_is_rebuilt(self, tmp_path):
+        store = WitnessStore(tmp_path)
+        board = build_board("cylinder", 4, 6)
+        text = encode(witness(board, store=store))
+        path = store.path_for(board)
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+        assert store.load(board) is None
+        rebuilt = witness(board, store=store)
+        assert path.read_text(encoding="utf-8") == text
+        assert store.load(board) == rebuilt
+
+    def test_entry_for_another_board_is_rebuilt(self, tmp_path):
+        store = WitnessStore(tmp_path)
+        board = build_board("rectangle", 5, 6)
+        other = witness(build_board("rectangle", 5, 8))
+        store.path_for(board).write_text(encode(other), encoding="utf-8")
+        assert store.load(board) is None
+        rebuilt = witness(board, store=store)
+        assert store.load(board) == rebuilt
+
+    def test_save_leaves_only_the_entry(self, tmp_path):
+        store = WitnessStore(tmp_path / "cache")
+        board = build_board("torus", 4, 4)
+        witness(board, store=store)
+        witness(board, store=store)
+        assert list(store.directory.iterdir()) == [store.path_for(board)]
+
     def test_env_overrides_directory(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FAULT_ATLAS_CACHE", str(tmp_path / "env_cache"))
         store = default_store(tmp_path / "flag_cache")
@@ -81,3 +121,59 @@ class TestStore:
         store = default_store(tmp_path / "flag_cache")
         assert store.directory == tmp_path / "flag_cache"
         assert default_store(None) is None
+
+
+def _plain_chain(board):
+    """The chain without memo: public expand step by step from base_cases."""
+    bases = {case.board: case.witness for case in base_cases(board.topology)}
+    options = sorted(matching_tileable_families(board), key=lambda t: (t[1] + t[2], t[0].id))
+    for fam, n, m in options:
+        current = bases[build_board(board.topology, *fam.base)]
+        try:
+            for _ in range(n):
+                current = expand(current, "rows")
+            for _ in range(m):
+                current = expand(current, "cols")
+        except ExpansionFailedError:
+            continue
+        if current.board != board:  # a torus grown as b x a
+            edges = [("v" if p.edge.axis == "h" else "h", p.edge.line, p.edge.offset)
+                     for p in current.dominoes]
+            current = tiling_from_edges(board, edges)
+        return current
+    return find_fault_free(board).witness
+
+
+class TestChainMemo:
+    @pytest.fixture(scope="class")
+    def plain(self):
+        boards = [build_board(topo, a, b) for topo in Topology
+                  for a in range(1, 15) for b in range(1, 15)]
+        return {board: encode(_plain_chain(board)) for board in boards if classify(board).tileable}
+
+    def test_bytes_equal_plain_chain(self, plain):
+        _grown.cache_clear()
+        for board, text in plain.items():
+            assert encode(witness(board)) == text, board
+
+    def test_bytes_equal_plain_chain_largest_first(self, plain):
+        _grown.cache_clear()
+        for board in sorted(plain, key=lambda bd: (-bd.area, -bd.a)):
+            assert encode(witness(board)) == plain[board], board
+
+
+def test_invariant_holds_under_optimize():
+    script = textwrap.dedent("""
+        import fault_atlas.witnesses as w
+        from fault_atlas import InvariantError, SearchOutcome, build_board
+
+        w.find_fault_free = lambda board, budget=None: SearchOutcome("exhausted-none", None, 0)
+        try:
+            w._base_witness(build_board("rectangle", 5, 6))
+        except InvariantError:
+            print(__debug__, "raised")
+    """)
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=package_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "raised"]
