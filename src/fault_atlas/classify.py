@@ -1,5 +1,8 @@
 """Closed-form fault-free tileability classification for all four topologies.
 
+Each family is one row of data: an id, a verdict, a base board and a step
+per side.  A step of 0 fixes the side at the base, 1 admits any length from
+the base up, and 2 any length from the base up with the base's parity.
 Families are matched in a fixed order: odd area first, then degenerate
 1-wide boards, then the remaining not-tileable families, then the tileable
 base-plus-even-expansion families.  Some boards satisfy several family
@@ -10,15 +13,16 @@ matching.  Cylinders and Moebius strips are not (4'x6 is tileable while 6'x4
 is not); their rules match oriented (height, circumference) pairs exactly.
 
 The rectangle rule is the externally known closed form -- even area with
-both sides at least 5, except 6x6 -- plus the isolated 1x2 board, whose
-single domino crosses the board's only fold line.  The classification is
-validated against the exhaustive search oracle, not trusted from citation.
+both sides at least 5, except 6x6 -- plus the isolated 1x2 board and its
+mirror 2x1, whose single domino crosses the board's only fold line.  The
+narrow rectangles, min(a,b) <= 4, are the one shape not written as rows.
+The classification is validated against the exhaustive search oracle, not
+trusted from citation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .topology import BoardSpec, Topology, build_board
 
@@ -29,15 +33,21 @@ REASON_RULE = "rule-family"
 
 @dataclass(frozen=True)
 class Family:
-    """One classification rule: a board-shape predicate with a fixed verdict."""
+    """One classification rule: a base board grown by fixed steps, with a fixed verdict."""
 
     id: str
     tileable: bool
-    matches: Callable[[int, int], bool]
-    base: tuple[int, int] | None = None  # minimal member of an expanding family
+    base: tuple[int, int]  # the minimal member
     rows_step: int = 0  # 0 fixed, 1 any taller, 2 even expansion
     cols_step: int = 0
     reason: str = REASON_RULE
+
+    def matches(self, a: int, b: int) -> bool:
+        return _fits(a, self.base[0], self.rows_step) and _fits(b, self.base[1], self.cols_step)
+
+
+def _fits(side: int, base: int, step: int) -> bool:
+    return side == base or (step > 0 and side > base and (side - base) % step == 0)
 
 
 @dataclass(frozen=True)
@@ -47,10 +57,8 @@ class Verdict:
     family_id: str
 
 
-def _fam(fid: str, tileable: bool, pred: Callable[[int, int], bool], *,
-         base: tuple[int, int] | None = None, rows_step: int = 0, cols_step: int = 0,
-         reason: str = REASON_RULE) -> Family:
-    return Family(fid, tileable, pred, base, rows_step, cols_step, reason)
+def _rows(*rows: tuple) -> tuple[Family, ...]:
+    return tuple(Family(*row) for row in rows)
 
 
 _ODD = {
@@ -60,80 +68,63 @@ _ODD = {
     Topology.MOBIUS: 'odd" x odd',
 }
 
-RECTANGLE_FAMILIES: tuple[Family, ...] = (
-    _fam("1 x 2", True, lambda a, b: sorted((a, b)) == [1, 2]),
-    _fam("min(a,b) <= 4", False, lambda a, b: min(a, b) <= 4),
-    _fam("6 x 6", False, lambda a, b: (a, b) == (6, 6)),
-    _fam("(5+2n) x (6+2m)", True, lambda a, b: a % 2 == 1 and a >= 5 and b % 2 == 0 and b >= 6,
-         base=(5, 6), rows_step=2, cols_step=2),
-    _fam("(6+2n) x (5+2m)", True, lambda a, b: a % 2 == 0 and a >= 6 and b % 2 == 1 and b >= 5,
-         base=(6, 5), rows_step=2, cols_step=2),
-    _fam("(6+2n) x (8+2m)", True, lambda a, b: a % 2 == 0 and a >= 6 and b % 2 == 0 and b >= 8,
-         base=(6, 8), rows_step=2, cols_step=2),
-    _fam("(8+2n) x (6+2m)", True, lambda a, b: a % 2 == 0 and a >= 8 and b % 2 == 0 and b >= 6,
-         base=(8, 6), rows_step=2, cols_step=2),
+# (id, tileable, base, rows_step, cols_step[, reason]); narrow rectangles are matched in classify().
+RECTANGLE_FAMILIES = _rows(
+    ("1 x 2", True, (1, 2), 0, 0),
+    ("1 x 2", True, (2, 1), 0, 0),  # its mirror
+    ("6 x 6", False, (6, 6), 0, 0),
+    ("(5+2n) x (6+2m)", True, (5, 6), 2, 2),
+    ("(6+2n) x (5+2m)", True, (6, 5), 2, 2),
+    ("(6+2n) x (8+2m)", True, (6, 8), 2, 2),
+    ("(8+2n) x (6+2m)", True, (8, 6), 2, 2),
 )
 
-CYLINDER_FAMILIES: tuple[Family, ...] = (
-    _fam("(2n)' x 1", False, lambda a, b: b == 1, reason=REASON_DEGENERATE, rows_step=2),
-    _fam("1' x (2n)", False, lambda a, b: a == 1, reason=REASON_DEGENERATE, cols_step=2),
-    _fam("(2+n)' x 2", False, lambda a, b: b == 2, rows_step=1),
-    _fam("2' x (2+n)", False, lambda a, b: a == 2, cols_step=1),
-    _fam("(4+2n)' x 3", False, lambda a, b: b == 3 and a % 2 == 0 and a >= 4, rows_step=2),
-    _fam("3' x (4+2n)", False, lambda a, b: a == 3 and b % 2 == 0 and b >= 4, cols_step=2),
-    _fam("(4+n)' x 4", False, lambda a, b: b == 4 and a >= 4, rows_step=1),
-    _fam("4' x (5+2n)", False, lambda a, b: a == 4 and b % 2 == 1 and b >= 5, cols_step=2),
-    _fam("6' x 5", False, lambda a, b: (a, b) == (6, 5)),
-    _fam("5' x 6", False, lambda a, b: (a, b) == (5, 6)),
-    _fam("(4+2n)' x (6+2m)", True, lambda a, b: a % 2 == 0 and a >= 4 and b % 2 == 0 and b >= 6,
-         base=(4, 6), rows_step=2, cols_step=2),
-    _fam("(7+2n)' x (6+2m)", True, lambda a, b: a % 2 == 1 and a >= 7 and b % 2 == 0 and b >= 6,
-         base=(7, 6), rows_step=2, cols_step=2),
-    _fam("(6+2n)' x (7+2m)", True, lambda a, b: a % 2 == 0 and a >= 6 and b % 2 == 1 and b >= 7,
-         base=(6, 7), rows_step=2, cols_step=2),
-    _fam("(8+2n)' x (5+2m)", True, lambda a, b: a % 2 == 0 and a >= 8 and b % 2 == 1 and b >= 5,
-         base=(8, 5), rows_step=2, cols_step=2),
-    _fam("(5+2n)' x (8+2m)", True, lambda a, b: a % 2 == 1 and a >= 5 and b % 2 == 0 and b >= 8,
-         base=(5, 8), rows_step=2, cols_step=2),
+CYLINDER_FAMILIES = _rows(
+    ("(2n)' x 1", False, (2, 1), 2, 0, REASON_DEGENERATE),
+    ("1' x (2n)", False, (1, 2), 0, 2, REASON_DEGENERATE),
+    ("(2+n)' x 2", False, (2, 2), 1, 0),
+    ("2' x (2+n)", False, (2, 2), 0, 1),
+    ("(4+2n)' x 3", False, (4, 3), 2, 0),
+    ("3' x (4+2n)", False, (3, 4), 0, 2),
+    ("(4+n)' x 4", False, (4, 4), 1, 0),
+    ("4' x (5+2n)", False, (4, 5), 0, 2),
+    ("6' x 5", False, (6, 5), 0, 0),
+    ("5' x 6", False, (5, 6), 0, 0),
+    ("(4+2n)' x (6+2m)", True, (4, 6), 2, 2),
+    ("(7+2n)' x (6+2m)", True, (7, 6), 2, 2),
+    ("(6+2n)' x (7+2m)", True, (6, 7), 2, 2),
+    ("(8+2n)' x (5+2m)", True, (8, 5), 2, 2),
+    ("(5+2n)' x (8+2m)", True, (5, 8), 2, 2),
 )
 
-TORUS_FAMILIES: tuple[Family, ...] = (
-    _fam("(2n)' x 1'", False, lambda a, b: b == 1, reason=REASON_DEGENERATE, rows_step=2),
-    _fam("(2+n)' x 2'", False, lambda a, b: b == 2, rows_step=1),
-    _fam("(4+2n)' x 3'", False, lambda a, b: b == 3 and a % 2 == 0 and a >= 4, rows_step=2),
-    _fam("(5+2n)' x 4'", False, lambda a, b: b == 4 and a % 2 == 1 and a >= 5, rows_step=2),
-    _fam("6' x 5'", False, lambda a, b: (a, b) == (6, 5)),
-    _fam("8' x 5'", False, lambda a, b: (a, b) == (8, 5)),
-    _fam("7' x 6'", False, lambda a, b: (a, b) == (7, 6)),
-    _fam("(4+2n)' x (4+2m)'", True, lambda a, b: a % 2 == 0 and a >= 4 and b % 2 == 0 and b >= 4,
-         base=(4, 4), rows_step=2, cols_step=2),
-    _fam("(8+2n)' x (7+2m)'", True, lambda a, b: a % 2 == 0 and a >= 8 and b % 2 == 1 and b >= 7,
-         base=(8, 7), rows_step=2, cols_step=2),
-    _fam("(9+2n)' x (6+2m)'", True, lambda a, b: a % 2 == 1 and a >= 9 and b % 2 == 0 and b >= 6,
-         base=(9, 6), rows_step=2, cols_step=2),
-    _fam("(10+2n)' x (5+2m)'", True, lambda a, b: a % 2 == 0 and a >= 10 and b % 2 == 1 and b >= 5,
-         base=(10, 5), rows_step=2, cols_step=2),
+TORUS_FAMILIES = _rows(
+    ("(2n)' x 1'", False, (2, 1), 2, 0, REASON_DEGENERATE),
+    ("(2+n)' x 2'", False, (2, 2), 1, 0),
+    ("(4+2n)' x 3'", False, (4, 3), 2, 0),
+    ("(5+2n)' x 4'", False, (5, 4), 2, 0),
+    ("6' x 5'", False, (6, 5), 0, 0),
+    ("8' x 5'", False, (8, 5), 0, 0),
+    ("7' x 6'", False, (7, 6), 0, 0),
+    ("(4+2n)' x (4+2m)'", True, (4, 4), 2, 2),
+    ("(8+2n)' x (7+2m)'", True, (8, 7), 2, 2),
+    ("(9+2n)' x (6+2m)'", True, (9, 6), 2, 2),
+    ("(10+2n)' x (5+2m)'", True, (10, 5), 2, 2),
 )
 
-MOBIUS_FAMILIES: tuple[Family, ...] = (
-    _fam('(2n)" x 1', False, lambda a, b: b == 1, reason=REASON_DEGENERATE, rows_step=2),
-    _fam('1" x (2n)', False, lambda a, b: a == 1, reason=REASON_DEGENERATE, cols_step=2),
-    _fam('(1+2n)" x 2', False, lambda a, b: b == 2 and a % 2 == 1, rows_step=2),
-    _fam('(2n)" x 2', False, lambda a, b: b == 2 and a % 2 == 0, rows_step=2),
-    _fam('2" x (2+n)', False, lambda a, b: a == 2, cols_step=1),
-    _fam('3" x (4+2n)', False, lambda a, b: a == 3 and b % 2 == 0 and b >= 4, cols_step=2),
-    _fam('4" x (4+2n)', False, lambda a, b: a == 4 and b % 2 == 0 and b >= 4, cols_step=2),
-    _fam('6" x 4', False, lambda a, b: (a, b) == (6, 4)),
-    _fam('(4+2n)" x (3+2m)', True, lambda a, b: a % 2 == 0 and a >= 4 and b % 2 == 1 and b >= 3,
-         base=(4, 3), rows_step=2, cols_step=2),
-    _fam('(5+2n)" x (4+2m)', True, lambda a, b: a % 2 == 1 and a >= 5 and b % 2 == 0 and b >= 4,
-         base=(5, 4), rows_step=2, cols_step=2),
-    _fam('(4+2n)" x (5+2m)', True, lambda a, b: a % 2 == 0 and a >= 4 and b % 2 == 1 and b >= 5,
-         base=(4, 5), rows_step=2, cols_step=2),
-    _fam('(6+2n)" x (6+2m)', True, lambda a, b: a % 2 == 0 and a >= 6 and b % 2 == 0 and b >= 6,
-         base=(6, 6), rows_step=2, cols_step=2),
-    _fam('(8+2n)" x (4+2m)', True, lambda a, b: a % 2 == 0 and a >= 8 and b % 2 == 0 and b >= 4,
-         base=(8, 4), rows_step=2, cols_step=2),
+MOBIUS_FAMILIES = _rows(
+    ('(2n)" x 1', False, (2, 1), 2, 0, REASON_DEGENERATE),
+    ('1" x (2n)', False, (1, 2), 0, 2, REASON_DEGENERATE),
+    ('(1+2n)" x 2', False, (1, 2), 2, 0),
+    ('(2n)" x 2', False, (2, 2), 2, 0),
+    ('2" x (2+n)', False, (2, 2), 0, 1),
+    ('3" x (4+2n)', False, (3, 4), 0, 2),
+    ('4" x (4+2n)', False, (4, 4), 0, 2),
+    ('6" x 4', False, (6, 4), 0, 0),
+    ('(4+2n)" x (3+2m)', True, (4, 3), 2, 2),
+    ('(5+2n)" x (4+2m)', True, (5, 4), 2, 2),
+    ('(4+2n)" x (5+2m)', True, (4, 5), 2, 2),
+    ('(6+2n)" x (6+2m)', True, (6, 6), 2, 2),
+    ('(8+2n)" x (4+2m)', True, (8, 4), 2, 2),
 )
 
 FAMILIES: dict[Topology, tuple[Family, ...]] = {
@@ -159,25 +150,23 @@ def classify(board: BoardSpec) -> Verdict:
     for fam in FAMILIES[board.topology]:
         if fam.matches(a, b):
             return Verdict(fam.tileable, fam.reason, fam.id)
+    # Every rectangle row but 1 x 2 has both sides at least 5, so no row can shadow this one.
+    if board.topology is Topology.RECTANGLE and min(a, b) <= 4:
+        return Verdict(False, REASON_RULE, "min(a,b) <= 4")
     raise AssertionError(f"no family matches {board}")  # totality is an invariant
 
 
 def matching_tileable_families(board: BoardSpec) -> list[tuple[Family, int, int]]:
-    """All tileable families containing the board, with (family, n, m) offsets."""
+    """All tileable families containing the board, with (family, n, m) offsets.
+
+    Tileable families step by 0 or 2, so n and m count double rows and columns.
+    """
     a, b = canonical_dims(board)
-    out = []
-    for fam in FAMILIES[board.topology]:
-        if fam.tileable and fam.matches(a, b) and fam.base is not None:
-            n = (a - fam.base[0]) // 2
-            m = (b - fam.base[1]) // 2
-            out.append((fam, n, m))
-    return out
+    return [(fam, (a - fam.base[0]) // 2, (b - fam.base[1]) // 2)
+            for fam in FAMILIES[board.topology] if fam.tileable and fam.matches(a, b)]
 
 
 def base_boards(topology: Topology) -> list[BoardSpec]:
     """The minimal member of each expanding tileable family."""
-    out = []
-    for fam in FAMILIES[topology]:
-        if fam.tileable and fam.base is not None:
-            out.append(build_board(topology, *fam.base))
-    return out
+    return [build_board(topology, *fam.base) for fam in FAMILIES[topology]
+            if fam.tileable and (fam.rows_step or fam.cols_step)]

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .expansion import expand
 from .render import ascii_render, svg_render
-from .search import SearchBudget
 from .tiling import decode, encode, verify
 from .topology import Topology, build_board
 from .witnesses import default_store, witness
@@ -54,14 +53,6 @@ def _board(args: argparse.Namespace):
         return build_board(args.topology, args.a, args.b)
     except InvalidDimensionError as exc:
         raise _CliError(EXIT_INVALID, str(exc)) from exc
-
-
-def _budget(args: argparse.Namespace) -> SearchBudget | None:
-    nodes = getattr(args, "budget_nodes", None)
-    millis = getattr(args, "budget_ms", None)
-    if nodes is None and millis is None:
-        return None
-    return SearchBudget(max_nodes=nodes, max_millis=millis)
 
 
 def _write_out(text: str, out: "str | None") -> None:
@@ -129,7 +120,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_OK
     store = default_store(args.witnesses)
     try:
-        tiling = witness(board, store=store, budget=_budget(args))
+        tiling = witness(board, store=store)
     except WitnessUnavailableError as exc:
         print(f"{board}: inconclusive ({exc})")
         return EXIT_OK
@@ -142,17 +133,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _print_report(board, report, file=None) -> None:
+    print(f"board: {board}", file=file)
+    print(f"matching valid: {report.matching_valid}", file=file)
+    if report.uncovered_cells:
+        print(f"uncovered cells: {list(report.uncovered_cells)}", file=file)
+    if report.doubly_covered_cells:
+        print(f"doubly covered cells: {list(report.doubly_covered_cells)}", file=file)
+    print(f"uncrossed curves: {list(report.uncrossed_curves)}", file=file)
+    print(f"fault-free: {report.fault_free}", file=file)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     tiling = _read_witness(args.witness_file)
     report = verify(tiling.board, tiling)
-    print(f"board: {tiling.board}")
-    print(f"matching valid: {report.matching_valid}")
-    if report.uncovered_cells:
-        print(f"uncovered cells: {list(report.uncovered_cells)}")
-    if report.doubly_covered_cells:
-        print(f"doubly covered cells: {list(report.doubly_covered_cells)}")
-    print(f"uncrossed curves: {list(report.uncrossed_curves)}")
-    print(f"fault-free: {report.fault_free}")
+    _print_report(tiling.board, report)
     return EXIT_OK if report.fault_free else EXIT_VERIFY
 
 
@@ -172,6 +167,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 def _cmd_census(args: argparse.Namespace) -> int:
     if args.max < 1 or args.max > MAX_CENSUS:
         raise _CliError(EXIT_INVALID, f"--max must be in 1..{MAX_CENSUS}")
+    if args.witness_limit < 0:
+        raise _CliError(EXIT_USAGE, f"--witness-limit must be >= 0, got {args.witness_limit}")
     chart = build_chart(args.topology, args.max)
     _write_out(chart_text(chart), args.out)
     # --witnesses enables generation; FAULT_ATLAS_CACHE only redirects it
@@ -184,7 +181,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
                 board = build_board(topo, a, b)
                 if not classify(board).tileable:
                     continue
-                witness(board, store=store, budget=_budget(args))
+                witness(board, store=store)
     return EXIT_OK
 
 
@@ -193,10 +190,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     report = verify(tiling.board, tiling)
     if not report.fault_free:
         print("witness fails verification:", file=sys.stderr)
-        print(f"  matching valid: {report.matching_valid}", file=sys.stderr)
-        print(f"  uncovered: {list(report.uncovered_cells)}", file=sys.stderr)
-        print(f"  doubly covered: {list(report.doubly_covered_cells)}", file=sys.stderr)
-        print(f"  uncrossed curves: {list(report.uncrossed_curves)}", file=sys.stderr)
+        _print_report(tiling.board, report, sys.stderr)
         return EXIT_VERIFY
     text = ascii_render(tiling) if args.format == "ascii" else svg_render(tiling)
     _write_out(text, args.out)
@@ -208,11 +202,6 @@ def _add_board_flags(p: argparse.ArgumentParser) -> None:
                    choices=[t.value for t in Topology])
     p.add_argument("--a", type=int, required=True, help="height (rows)")
     p.add_argument("--b", type=int, required=True, help="width / circumference (columns)")
-
-
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--budget-ms", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="produce a verified fault-free witness")
     _add_board_flags(p)
-    _add_budget_flags(p)
     p.add_argument("--format", choices=["json", "ascii", "svg"], default="json")
     p.add_argument("--out", default=None)
     p.add_argument("--witnesses", default=None, help="witness cache directory")
@@ -256,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witnesses", default=None, help="also populate this witness cache")
     p.add_argument("--witness-limit", type=int, default=12,
                    help="cache witnesses for boards with a,b up to this size")
-    _add_budget_flags(p)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("render", help="draw a witness as ascii or svg")

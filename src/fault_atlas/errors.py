@@ -26,7 +26,7 @@ class ExpansionFailedError(FaultAtlasError):
 
 
 class WitnessUnavailableError(FaultAtlasError):
-    """Search budget exhausted before a witness was produced (not a negative verdict)."""
+    """No family chain grew a witness for a tileable board (not a negative verdict)."""
 
 
 class InvariantError(FaultAtlasError):

@@ -183,8 +183,8 @@ def expand(tiling: Tiling, axis: str) -> Tiling:
     """Return a verified fault-free tiling on (a+2) x b or a x (b+2).
 
     Raises ExpansionFailedError when no verifying cut path exists within the
-    search budget; callers fall back to direct search.  The input must itself
-    verify fault-free.
+    search budget; witness() then tries the board's next family chain.  The
+    input must itself verify fault-free.
     """
     if axis not in (ROWS, COLS):
         raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")

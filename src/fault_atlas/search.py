@@ -15,12 +15,13 @@ line index first, which makes node counts reproducible.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
-from .errors import OracleRangeError
+from .errors import InvariantError, OracleRangeError
 from .tiling import Tiling, verify
-from .topology import BoardSpec, placements
+from .topology import BoardSpec, _curve_id, placements
 
 FOUND = "found"
 EXHAUSTED = "exhausted-none"
@@ -51,21 +52,19 @@ class _Geometry:
                  "curve_caps", "n_curves")
 
     def __init__(self, board: BoardSpec) -> None:
-        from .topology import curve_index, fault_curves
-
         self.board = board
         a, b = board.a, board.b
         self.n_cells = a * b
         plcs = placements(board)
-        curves = fault_curves(board)
-        cidx = curve_index(board)
-        self.n_curves = len(curves)
-        self.curve_caps = [c.cap for c in curves]
+        self.n_curves = _curve_id(board, "v", b)  # one past the last curve id
+        self.curve_caps = [0] * self.n_curves  # crossing edges per curve
         # edges[eid] = (cell_u, cell_v, curve_id); deterministic id order
         self.edges = []
         for p in plcs:
             (r1, c1), (r2, c2) = p.cells
-            self.edges.append((r1 * b + c1, r2 * b + c2, cidx[p.edge.key()]))
+            cv = _curve_id(board, p.edge.axis, p.edge.line)
+            self.curve_caps[cv] += 1
+            self.edges.append((r1 * b + c1, r2 * b + c2, cv))
         # tie-break groups: vertical dominoes, horizontal, then wraps
         def tie_key(i: int) -> tuple[int, int, int]:
             e = plcs[i].edge
@@ -85,15 +84,9 @@ class _Geometry:
         self.scan_order = [r * b + c for c in range(b) for r in range(a)]
 
 
-_geometry_cache: dict[BoardSpec, _Geometry] = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _geometry(board: BoardSpec) -> _Geometry:
-    geo = _geometry_cache.get(board)
-    if geo is None:
-        geo = _Geometry(board)
-        _geometry_cache[board] = geo
-    return geo
+    return _Geometry(board)
 
 
 class _BudgetExceeded(Exception):
@@ -204,8 +197,8 @@ def find_tiling(board: BoardSpec, budget: SearchBudget | None = None) -> SearchO
     s = _Searcher(board, budget, fault_free=False, prune=False, count_all=False)
     status = s.run()
     witness = s.witness() if status == FOUND else None
-    if witness is not None:
-        assert verify(board, witness).matching_valid
+    if witness is not None and not verify(board, witness).matching_valid:
+        raise InvariantError(f"search returned an invalid tiling of {board}")
     return SearchOutcome(status, witness, s.nodes)
 
 
@@ -228,8 +221,8 @@ def find_fault_free(board: BoardSpec, budget: SearchBudget | None = None, *,
     s = _Searcher(board, budget, fault_free=True, prune=prune, count_all=False)
     status = s.run()
     witness = s.witness() if status == FOUND else None
-    if witness is not None:
-        assert verify(board, witness).fault_free
+    if witness is not None and not verify(board, witness).fault_free:
+        raise InvariantError(f"search returned a tiling of {board} that is not fault-free")
     return SearchOutcome(status, witness, s.nodes)
 
 

@@ -214,25 +214,28 @@ def _curve_id(board: BoardSpec, axis: str, line: int) -> int:
     return a + line if topo is _TORUS else a - 1 + line
 
 
-@functools.lru_cache(maxsize=None)
-def _edge_table(board: BoardSpec) -> tuple[Placement, ...]:
-    """All placements of the board, in canonical (axis, line, offset) order."""
-    out: list[Placement] = []
+# Board tables are kept for the most recent boards only; an evicted table is rebuilt.
+_TABLE_MEMO = 128
+
+
+def _edges(board: BoardSpec) -> Iterator[tuple[str, int, int, tuple[Cell, Cell]]]:
+    """(axis, line, offset, cells) of every crossing edge, in (axis, line, offset) order."""
     for axis, lines, offsets in (("h", board.a, board.b), ("v", board.b, board.a)):
         for line in range(lines):
             for offset in range(offsets):
                 cells = _edge_cells(board, axis, line, offset)
                 if cells is not None:
-                    out.append(Placement(CrossingEdge(axis, line, offset), cells))
-    return tuple(out)
+                    yield axis, line, offset, cells
 
 
+@functools.lru_cache(maxsize=_TABLE_MEMO)
 def placements(board: BoardSpec) -> tuple[Placement, ...]:
-    """Every domino placement on the board, one per distinct crossing edge."""
-    return _edge_table(board)
+    """Every domino placement on the board, one per crossing edge, in (axis, line, offset) order."""
+    return tuple(Placement(CrossingEdge(axis, line, offset), cells)
+                 for axis, line, offset, cells in _edges(board))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_TABLE_MEMO)
 def fault_curves(board: BoardSpec) -> tuple[FaultCurve, ...]:
     """All fold loci with their crossing-edge sets (possibly empty)."""
     topo = board.topology
@@ -244,21 +247,10 @@ def fault_curves(board: BoardSpec) -> tuple[FaultCurve, ...]:
         for line in lines:
             cid = line_curve[axis, line] = _curve_id(board, axis, line)
             curves.setdefault(cid, (name, set(), []))[1].add(line)
-    for plc in _edge_table(board):
-        edge = plc.edge
-        curves[line_curve[edge.axis, edge.line]][2].append(edge)
+    for axis, line, offset, _cells in _edges(board):
+        curves[line_curve[axis, line]][2].append(CrossingEdge(axis, line, offset))
     return tuple(FaultCurve(cid, name, frozenset(lines), frozenset(edges))
                  for cid, (name, lines, edges) in sorted(curves.items()))
-
-
-@functools.lru_cache(maxsize=None)
-def curve_index(board: BoardSpec) -> dict[tuple[str, int, int], int]:
-    """Map each crossing edge key to the id of its (unique) fault curve."""
-    out: dict[tuple[str, int, int], int] = {}
-    for curve in fault_curves(board):
-        for edge in curve.crossing_edges:
-            out[edge.key()] = curve.id
-    return out
 
 
 def curve_of(board: BoardSpec, edge: CrossingEdge) -> FaultCurve:

@@ -1,12 +1,13 @@
-"""Witness construction: base cases, memoized expansion chains, search fallback, cache.
+"""Witness construction: base cases, memoized expansion chains, file cache.
 
-Order of attack for a tileable board: exact base match (searched directly),
-then the shortest expansion chain from the nearest family base, then a
-budgeted direct search.  A chain applies n row expansions and then m column
-expansions to its family's base.  Every prefix of a chain is memoized, so a
-board whose chain extends one grown before (a x (b-2) in the same family,
-say) costs one expansion; the chain and so the witness bytes are the same as
-growing from the base each time.  Every returned tiling has been re-verified.
+A tileable board's witness comes from the cache, else from its family's
+chain: the base board's searched witness after n row expansions and then m
+column expansions, trying the shortest chain first.  A family whose base is
+the board itself (1 x 2, say) is a chain of length 0.  Every prefix of a
+chain is memoized, so a board whose chain extends one grown before (a x
+(b-2) in the same family, say) costs one expansion; the chain and so the
+witness bytes are the same as growing from the base each time.  Every
+returned tiling has been re-verified.
 """
 
 from __future__ import annotations
@@ -19,13 +20,11 @@ from pathlib import Path
 from .classify import classify, matching_tileable_families
 from .errors import ExpansionFailedError, InvariantError, WitnessDecodeError, WitnessUnavailableError
 from .expansion import COLS, ROWS, expand
-from .search import SearchBudget, find_fault_free
+from .search import find_fault_free
 from .tiling import Tiling, decode_for_board, encode, verify, tiling_from_edges
 from .topology import BoardSpec, Topology, build_board
 
 CACHE_ENV = "FAULT_ATLAS_CACHE"
-
-_FALLBACK_BUDGET = SearchBudget(max_nodes=20_000_000)
 
 # Chain prefixes kept in memory; an evicted prefix is grown again when needed.
 _CHAIN_MEMO = 128
@@ -81,7 +80,7 @@ class BaseCase:
     witness: Tiling
 
 
-@functools.lru_cache(maxsize=None)  # one entry per family base
+@functools.lru_cache(maxsize=64)  # one entry per tileable family base, 20 in all
 def _base_witness(board: BoardSpec) -> Tiling:
     outcome = find_fault_free(board)
     if outcome.status != "found":
@@ -154,13 +153,12 @@ def _expansion_chain(board: BoardSpec) -> Tiling | None:
     return None
 
 
-def witness(board: BoardSpec, *, store: WitnessStore | None = None,
-            budget: SearchBudget | None = None) -> Tiling:
+def witness(board: BoardSpec, *, store: WitnessStore | None = None) -> Tiling:
     """A verified fault-free tiling for a board classified tileable.
 
     Raises ValueError for boards that are not fault-free tileable and
-    WitnessUnavailableError when the fallback search budget runs out
-    (which is not a negative verdict).
+    WitnessUnavailableError when every family chain fails to grow (which is
+    not a negative verdict).
     """
     verdict = classify(board)
     if not verdict.tileable:
@@ -171,13 +169,7 @@ def witness(board: BoardSpec, *, store: WitnessStore | None = None,
             return cached
     result = _expansion_chain(board)
     if result is None:
-        outcome = find_fault_free(board, budget or _FALLBACK_BUDGET)
-        if outcome.status == "found":
-            result = outcome.witness
-        elif outcome.status == "inconclusive":
-            raise WitnessUnavailableError(f"search budget exhausted on {board}")
-        else:
-            raise InvariantError(f"classify says tileable but search exhausted {board}")
+        raise WitnessUnavailableError(f"no family chain grows a witness for {board}")
     if not verify(board, result).fault_free:
         raise InvariantError(f"witness for {board} fails verification")
     if store is not None:

@@ -228,3 +228,18 @@ def witness_5x6() -> Tiling:
     outcome = find_fault_free(board)
     assert outcome.status == "found"
     return outcome.witness
+
+
+@pytest.fixture
+def failing_chains(monkeypatch):
+    """Every expansion fails.  The chain memo keeps failures, so it is emptied before and after."""
+    import fault_atlas.witnesses as w
+    from fault_atlas import ExpansionFailedError
+
+    def fail(tiling, axis):
+        raise ExpansionFailedError(f"no cut path on {tiling.board}")
+
+    w._grown.cache_clear()
+    monkeypatch.setattr(w, "expand", fail)
+    yield
+    w._grown.cache_clear()

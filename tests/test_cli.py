@@ -95,6 +95,11 @@ class TestSolveVerifyRenderExpand:
         code, out, _ = run(capsys, "verify", str(grown))
         assert code == 0
 
+    def test_solve_inconclusive_when_chains_fail(self, capsys, failing_chains):
+        code, out, _ = run(capsys, "solve", "--topology", "cylinder", "--a", "6", "--b", "6")
+        assert code == 0
+        assert "inconclusive" in out
+
     def test_solve_not_tileable(self, capsys):
         code, out, _ = run(capsys, "solve", "--topology", "cylinder", "--a", "5", "--b", "6")
         assert code == 0
@@ -131,6 +136,9 @@ class TestSolveVerifyRenderExpand:
         assert code == 3
         code, out, _ = run(capsys, "verify", str(wfile))
         assert code == 3
+        assert out.startswith("board: rectangle 5x6\nmatching valid: False\nuncovered cells: [")
+        assert out.endswith("fault-free: False\n")
+        assert err == "witness fails verification:\n" + out
 
     def test_malformed_witness_exit_2(self, capsys, tmp_path):
         wfile = tmp_path / "bad.json"
@@ -144,7 +152,7 @@ class TestSolveVerifyRenderExpand:
 
 
 class TestCensus:
-    @pytest.mark.parametrize("topo", ["cylinder", "torus", "mobius"])
+    @pytest.mark.parametrize("topo", ["rectangle", "cylinder", "torus", "mobius"])
     def test_matches_golden(self, capsys, tmp_path, topo):
         out_file = tmp_path / f"{topo}.txt"
         code, _, _ = run(capsys, "census", "--topology", topo, "--max", "20",
@@ -159,9 +167,26 @@ class TestCensus:
         run(capsys, "census", "--topology", "mobius", "--max", "20", "--out", str(two))
         assert one.read_bytes() == two.read_bytes()
 
+    def test_rectangle_golden_is_grahams_rule(self):
+        # Graham, "Fault-free tilings of rectangles" (The Mathematical Gardner, 1981),
+        # plus the 1 x 2 board whose one domino crosses its one fold line.
+        rows = (GOLDEN / "rectangle_20.txt").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "rectangle 20 20"
+        for a, row in enumerate(rows[1:], 1):
+            for b, mark in enumerate(row, 1):
+                graham = (a * b) % 2 == 0 and min(a, b) >= 5 and (a, b) != (6, 6)
+                assert (mark == "X") is (graham or sorted((a, b)) == [1, 2]), (a, b)
+
     def test_max_guard(self, capsys):
         code, _, _ = run(capsys, "census", "--topology", "torus", "--max", "65")
         assert code == 2
+
+    def test_negative_witness_limit_exit_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, "census", "--topology", "torus", "--max", "5",
+                             "--witnesses", str(tmp_path), "--witness-limit", "-1")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "--witness-limit" in err
 
     def test_unwritable_out_exit_2(self, capsys):
         code, _, _ = run(capsys, "census", "--topology", "torus", "--max", "5",

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from fault_atlas import (
@@ -9,12 +13,14 @@ from fault_atlas import (
     SearchBudget,
     build_board,
     count_tilings,
+    fault_curves,
     fault_free_exists_oracle,
     find_fault_free,
     find_tiling,
     verify,
 )
-from conftest import boards_upto, enumerate_fault_free, enumerate_matchings
+from fault_atlas.search import _geometry
+from conftest import boards_upto, enumerate_fault_free, enumerate_matchings, package_env
 
 
 class TestFindTiling:
@@ -108,3 +114,29 @@ class TestOracle:
         with pytest.raises(OracleRangeError):
             fault_free_exists_oracle(build_board("rectangle", 7, 7))
         assert fault_free_exists_oracle(build_board("rectangle", 7, 7), ceiling=49) is False
+
+
+def test_witness_check_holds_under_optimize():
+    script = textwrap.dedent("""
+        from types import SimpleNamespace
+
+        import fault_atlas.search as s
+        from fault_atlas import InvariantError, build_board
+
+        s.verify = lambda board, tiling: SimpleNamespace(matching_valid=False, fault_free=False)
+        board = build_board("rectangle", 5, 6)
+        for find in (s.find_tiling, s.find_fault_free):
+            try:
+                find(board)
+            except InvariantError:
+                print(__debug__, "raised")
+    """)
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=package_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "raised", "False", "raised"]
+
+
+def test_geometry_caps_match_fault_curves():
+    for board in boards_upto(10):
+        assert _geometry(board).curve_caps == [c.cap for c in fault_curves(board)], board

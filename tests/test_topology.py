@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
+import fault_atlas
 from fault_atlas import (
     InvalidDimensionError,
     Topology,
@@ -184,3 +188,14 @@ class TestCellColor:
     def test_outside_board(self):
         with pytest.raises(ValueError):
             cell_color(build_board("rectangle", 2, 2), (2, 0))
+
+
+def test_every_memo_is_bounded():
+    memos = []
+    for info in pkgutil.iter_modules(fault_atlas.__path__):
+        module = importlib.import_module(f"fault_atlas.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                memos.append(name)
+                assert obj.cache_info().maxsize is not None, f"{info.name}.{name}"
+    assert {"placements", "fault_curves", "_geometry", "_base_witness", "_grown"} <= set(memos)

@@ -12,6 +12,7 @@ from fault_atlas import (
     ExpansionFailedError,
     Topology,
     WitnessStore,
+    WitnessUnavailableError,
     base_cases,
     build_board,
     classify,
@@ -21,9 +22,9 @@ from fault_atlas import (
     verify,
     witness,
 )
-from fault_atlas.classify import matching_tileable_families
+from fault_atlas.classify import FAMILIES, matching_tileable_families
 from fault_atlas.tiling import tiling_from_edges
-from fault_atlas.witnesses import _grown, default_store
+from fault_atlas.witnesses import _base_witness, _grown, default_store
 from conftest import package_env
 
 
@@ -32,7 +33,8 @@ class TestWitness:
         ("cylinder", 9, 8),    # base 7'x6 expanded both ways
         ("torus", 12, 9),      # canonical swap then expansion
         ("mobius", 4, 7),      # base 4"x5 grown in columns
-        ("rectangle", 1, 2),   # isolated family, direct search
+        ("rectangle", 1, 2),   # isolated family, its own base
+        ("rectangle", 2, 1),   # and its mirror
         ("mobius", 6, 3),      # row growth across the twist
     ])
     def test_examples_verify(self, topo, a, b):
@@ -48,6 +50,33 @@ class TestWitness:
     def test_deterministic(self):
         board = build_board("cylinder", 8, 9)
         assert encode(witness(board)) == encode(witness(board))
+
+    def test_search_runs_only_on_family_bases(self, monkeypatch):
+        bases = {build_board(topo, *fam.base) for topo, families in FAMILIES.items()
+                 for fam in families if fam.tileable}
+        searched = []
+
+        def recording(board, *args, **kwargs):
+            searched.append(board)
+            return find_fault_free(board, *args, **kwargs)
+
+        _base_witness.cache_clear()
+        _grown.cache_clear()
+        monkeypatch.setattr("fault_atlas.witnesses.find_fault_free", recording)
+        for topo in Topology:
+            for a in range(1, 25):
+                for b in range(1, 25):
+                    board = build_board(topo, a, b)
+                    if classify(board).tileable:
+                        witness(board)
+        assert searched and set(searched) <= bases
+        assert len(searched) == len(set(searched))  # each base is searched once
+
+    def test_failing_chain_is_unavailable(self, failing_chains):
+        with pytest.raises(WitnessUnavailableError):
+            witness(build_board("cylinder", 6, 6))  # base 4'x6 plus two rows
+        board = build_board("cylinder", 4, 6)  # a base needs no expansion
+        assert verify(board, witness(board)).fault_free
 
 
 class TestStore:
@@ -128,7 +157,9 @@ def _plain_chain(board):
     bases = {case.board: case.witness for case in base_cases(board.topology)}
     options = sorted(matching_tileable_families(board), key=lambda t: (t[1] + t[2], t[0].id))
     for fam, n, m in options:
-        current = bases[build_board(board.topology, *fam.base)]
+        base = build_board(board.topology, *fam.base)
+        # 1 x 2 is its own base, not an expanding family's
+        current = bases[base] if base in bases else find_fault_free(base).witness
         try:
             for _ in range(n):
                 current = expand(current, "rows")
@@ -141,7 +172,7 @@ def _plain_chain(board):
                      for p in current.dominoes]
             current = tiling_from_edges(board, edges)
         return current
-    return find_fault_free(board).witness
+    raise AssertionError(f"no family chain grows {board}")
 
 
 class TestChainMemo:
