@@ -82,9 +82,6 @@ def _bound_text(board) -> str:
     if report.status == "odd-area":
         lines.append(f"min required n/a, capacity n/a, infeasible (odd area {board.area})")
         return "\n".join(lines) + "\n"
-    if report.status == "parity-space-too-large":
-        lines.append("parity-space-too-large: verdict unavailable")
-        return "\n".join(lines) + "\n"
     verdict = "feasible" if report.feasible else "infeasible"
     shown_min = report.min_required if report.min_required is not None else "n/a"
     lines.append(f"min required {shown_min}, capacity {report.capacity}, {verdict}")
@@ -92,7 +89,7 @@ def _bound_text(board) -> str:
     for lo, hi in report.reachable[:16]:
         lines.append(f"  class reachable totals: {lo}..{hi} step 2")
     if len(report.reachable) > 16:
-        lines.append(f"  ... {len(report.reachable) - 16} more classes")
+        lines.append(f"  ... {len(report.reachable) - 16} more ranges")
     return "\n".join(lines) + "\n"
 
 

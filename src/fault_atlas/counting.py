@@ -10,25 +10,30 @@ caps bound each variable by its number of crossing edges; on a Moebius strip
 with both sides even, wrap tiles cover same-colored cells so color balance
 forces s to be even.
 
-A board is counting-feasible when some parity class of the GF(2) solution
-set can realize a total of exactly a*b/2 under those constraints (totals
-within a class move in steps of 2).  Infeasible is a sound verdict: the
-board is not fault-free tileable.  Feasible proves nothing by itself.
+A parity class is one solution of the GF(2) equations; the totals it admits
+run from a minimum to a maximum in steps of 2.  counting_feasible counts the
+classes per (min, max) range in one dynamic-programming pass over the
+variables, rows first, then columns.  The state is the residual of every
+equation still open and, per coverage group still open, whether one of its
+variables is odd; an equation is checked against its rhs at its last
+variable, a group adds 2 to the minimum or rules the class out at its last.
+On a Moebius strip each wrap pair comes next to the two lines it joins, so
+the state stays a few bits wide however tall the strip.
+
+A board is counting-feasible when some admissible class can realize a total
+of exactly a*b/2.  Infeasible is a sound verdict: the board is not fault-free
+tileable.  Feasible proves nothing by itself.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterator
 
-from .errors import ParitySpaceTooLargeError
 from .tiling import Tiling
-from .topology import BoardSpec, Topology, fault_curves
-
-PARITY_CLASS_GUARD = 1 << 16
+from .topology import BoardSpec, Topology, _curve_id
 
 STATUS_OK = "ok"
-STATUS_TOO_LARGE = "parity-space-too-large"
 STATUS_ODD_AREA = "odd-area"
 
 
@@ -58,28 +63,6 @@ class ParitySystem:
 
     def var_index(self) -> dict[tuple[str, object], int]:
         return {(v.kind, v.key): i for i, v in enumerate(self.variables)}
-
-    def parity_classes(self) -> Iterator[tuple[int, ...]]:
-        """Yield every parity assignment satisfying the GF(2) equations."""
-        solved = _solve_gf2(self.equations, len(self.variables))
-        if solved is None:
-            return
-        particular, kernel = solved
-        if (1 << len(kernel)) > PARITY_CLASS_GUARD:
-            raise ParitySpaceTooLargeError(
-                f"{len(kernel)} free variables exceed the {PARITY_CLASS_GUARD} class guard"
-            )
-        n = len(self.variables)
-        for pick in range(1 << len(kernel)):
-            vec = particular
-            rest = pick
-            k = 0
-            while rest:
-                if rest & 1:
-                    vec ^= kernel[k]
-                rest >>= 1
-                k += 1
-            yield tuple((vec >> i) & 1 for i in range(n))
 
     def check_values(self, values: dict[tuple[str, object], int]) -> list[str]:
         """Evaluate all constraints on integer profile values; returns violations."""
@@ -134,10 +117,16 @@ class CrossingProfile:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """The counting verdict.
+
+    reachable holds the distinct (min, max) total ranges of the admissible
+    parity classes, sorted; each range is walked in steps of 2.
+    """
+
     min_required: int | None
-    feasible: bool | None  # None when the parity space exceeded the guard
+    feasible: bool
     parity_classes_examined: int
-    reachable: tuple[tuple[int, int], ...]  # (min, max) per admissible class, step 2
+    reachable: tuple[tuple[int, int], ...]
     capacity: int | None
     status: str = STATUS_OK
 
@@ -217,120 +206,105 @@ def build_parity_system(board: BoardSpec) -> ParitySystem:
             mask ^= 1 << i
         equations.append((mask, 0))
 
-    groups: list[tuple[int, ...]] = []
-    for curve in fault_curves(board):
-        if curve.axis == "horizontal":
-            groups.append(tuple(index[("x", line)] for line in sorted(curve.lines)))
-        elif curve.lines == {0}:
-            if topo is Topology.MOBIUS:
-                groups.append(tuple(u_vars))
-            else:
-                groups.append((index[("s", None)],))
+    curve_vars: dict[int, list[int]] = {}
+    for line in h_lines:
+        curve_vars.setdefault(_curve_id(board, "h", line), []).append(index[("x", line)])
+    for line in range(0 if topo.wraps_cols else 1, b):
+        if line:
+            members = [index[("y", line)]]
         else:
-            groups.append(tuple(index[("y", line)] for line in sorted(curve.lines)))
-    return ParitySystem(board, tuple(variables), tuple(equations), tuple(groups))
+            members = u_vars if topo is Topology.MOBIUS else [index[("s", None)]]
+        curve_vars.setdefault(_curve_id(board, "v", line), []).extend(members)
+    groups = tuple(tuple(curve_vars[cid]) for cid in sorted(curve_vars))
+    return ParitySystem(board, tuple(variables), tuple(equations), groups)
 
 
-def _solve_gf2(equations: tuple[tuple[int, int], ...], n_vars: int):
-    """Row-reduce; returns (particular solution bitmask, kernel basis) or None."""
-    rows = [(mask, rhs) for mask, rhs in equations]
-    pivots: list[tuple[int, int, int]] = []  # (pivot col, mask, rhs)
-    for mask, rhs in rows:
-        for col, pmask, prhs in pivots:
-            if (mask >> col) & 1:
-                mask ^= pmask
-                rhs ^= prhs
-        if mask == 0:
+def _sweep_order(system: ParitySystem) -> list[int]:
+    """Variable indices, rows then columns; a Moebius wrap pair {j, a-1-j} before lines j+1 and a-1-j."""
+    index = system.var_index()
+    a, b = system.board.a, system.board.b
+    if system.board.topology is Topology.MOBIUS:
+        rows = [key for j in range((a + 1) // 2)
+                for key in (("u", frozenset({j, a - 1 - j})), ("x", j + 1), ("x", a - 1 - j))]
+    else:
+        rows = [("x", line) for line in range(a)]
+    cols = [("s", None)] + [("y", line) for line in range(1, b)]
+    return list(dict.fromkeys(index[key] for key in rows + cols if key in index))
+
+
+def _range_counts(system: ParitySystem) -> dict[tuple[int, int] | None, int]:
+    """Parity classes per (min total, max total), None for the inadmissible ones.
+
+    Equation j is state bit j and coverage group g is bit n + g, where n is
+    the number of equations.  A class is inadmissible when a parity exceeds
+    its cap, or when a group has no odd variable and no cap of 2 or more to
+    cross it twice; a group with no odd variable otherwise adds 2 to the minimum.
+    """
+    order = _sweep_order(system)
+    at = {i: k for k, i in enumerate(order)}
+    n = len(system.equations)
+    flips = [0] * len(order)  # equation bits an odd parity at step k toggles
+    marks = [0] * len(order)  # group bits it sets
+    closing = [[0, 0, []] for _ in order]  # equation bits, their rhs bits, (group bit, fixable)
+    for j, (mask, rhs) in enumerate(system.equations):
+        steps = [at[i] for i in range(len(system.variables)) if mask >> i & 1]
+        if not steps:
             if rhs:
-                return None
+                return {}
             continue
-        col = (mask & -mask).bit_length() - 1
-        for i, (pcol, pmask, prhs) in enumerate(pivots):
-            if (pmask >> col) & 1:
-                pivots[i] = (pcol, pmask ^ mask, prhs ^ rhs)
-        pivots.append((col, mask, rhs))
-    pivot_cols = {col for col, _, _ in pivots}
-    particular = 0
-    for col, mask, rhs in pivots:
-        if rhs:
-            particular |= 1 << col
-    kernel = []
-    for free in range(n_vars):
-        if free in pivot_cols:
-            continue
-        vec = 1 << free
-        for col, mask, _rhs in pivots:
-            if (mask >> free) & 1:
-                vec |= 1 << col
-        kernel.append(vec)
-    return particular, kernel
+        for k in steps:
+            flips[k] |= 1 << j
+        closing[max(steps)][0] |= 1 << j
+        closing[max(steps)][1] |= rhs << j
+    for g, group in enumerate(system.coverage_groups):
+        for i in group:
+            marks[at[i]] |= 1 << (n + g)
+        fixable = any(system.variables[i].cap >= 2 for i in group)
+        closing[max(at[i] for i in group)][2].append((1 << (n + g), fixable))
+    layer: dict[tuple[int, tuple[int, int] | None], int] = {(0, (0, 0)): 1}
+    for k, i in enumerate(order):
+        cap = system.variables[i].cap
+        eq_bits, eq_rhs, groups = closing[k]
+        nxt: dict[tuple[int, tuple[int, int] | None], int] = {}
+        for (state, rng), count in layer.items():
+            for p in (0, 1):
+                s = (state ^ flips[k]) | marks[k] if p else state
+                if s & eq_bits != eq_rhs:
+                    continue
+                s &= ~eq_bits
+                r = None if rng is None or p > cap else (rng[0] + p, rng[1] + cap - (cap - p) % 2)
+                for bit, fixable in groups:
+                    if r is not None and not s & bit:
+                        r = (r[0] + 2, r[1]) if fixable else None
+                    s &= ~bit
+                nxt[s, r] = nxt.get((s, r), 0) + count
+        layer = nxt
+    return {r: count for (_s, r), count in layer.items()}
 
 
-def _class_stats(system: ParitySystem, parities: tuple[int, ...]) -> tuple[int, int] | None:
-    """(min total, max total) for one parity class, or None if inadmissible."""
-    vmin = []
-    vmax = []
-    for var, p in zip(system.variables, parities):
-        if p > var.cap:
-            return None
-        vmin.append(p)
-        vmax.append(var.cap - ((var.cap - p) % 2))
-    total_min = sum(vmin)
-    for group in system.coverage_groups:
-        if sum(vmin[i] for i in group) == 0:
-            if any(vmax[i] >= 2 for i in group):
-                total_min += 2
-            else:
-                return None
-    return total_min, sum(vmax)
-
-
+@functools.lru_cache(maxsize=128)
 def counting_feasible(board: BoardSpec) -> FeasibilityReport:
     """Decide whether any admissible profile can total exactly a*b/2."""
     if board.area % 2:
         return FeasibilityReport(None, False, 0, (), None, STATUS_ODD_AREA)
-    system = build_parity_system(board)
+    counts = _range_counts(build_parity_system(board))
+    reachable = tuple(sorted(r for r in counts if r is not None))
     capacity = board.capacity
-    reachable: list[tuple[int, int]] = []
-    examined = 0
-    feasible = False
-    best: int | None = None
-    try:
-        for parities in system.parity_classes():
-            examined += 1
-            stats = _class_stats(system, parities)
-            if stats is None:
-                continue
-            lo, hi = stats
-            reachable.append((lo, hi))
-            if best is None or lo < best:
-                best = lo
-            if lo <= capacity <= hi and (capacity - lo) % 2 == 0:
-                feasible = True
-    except ParitySpaceTooLargeError:
-        return FeasibilityReport(None, None, examined, (), capacity, STATUS_TOO_LARGE)
-    reachable.sort()
-    return FeasibilityReport(best, feasible, examined, tuple(reachable), capacity)
+    feasible = any(lo <= capacity <= hi and (capacity - lo) % 2 == 0 for lo, hi in reachable)
+    best = reachable[0][0] if reachable else None
+    return FeasibilityReport(best, feasible, sum(counts.values()), reachable, capacity)
 
 
 def min_required_tiles(board: BoardSpec) -> int | None:
     """Minimum tiles to cover all fault curves under parity and caps.
 
     The exact-sum condition is excluded.  None means no parity class admits
-    any assignment at all (some curve can never be crossed).  Raises
-    ParitySpaceTooLargeError past the enumeration guard.
+    any assignment at all (some curve can never be crossed).  This is the
+    minimum of counting_feasible's report, so asking both costs one pass.
     """
     if board.area % 2:
         raise ValueError(f"min_required_tiles needs even area, got {board.a}x{board.b}")
-    system = build_parity_system(board)
-    best: int | None = None
-    for parities in system.parity_classes():
-        stats = _class_stats(system, parities)
-        if stats is None:
-            continue
-        if best is None or stats[0] < best:
-            best = stats[0]
-    return best
+    return counting_feasible(board).min_required
 
 
 def profile_of(board: BoardSpec, tiling: Tiling) -> CrossingProfile:

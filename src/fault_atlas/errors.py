@@ -34,4 +34,8 @@ class InvariantError(FaultAtlasError):
 
 
 class ParitySpaceTooLargeError(FaultAtlasError):
-    """The GF(2) solution set exceeds the enumeration guard (2^16 classes)."""
+    """Never raised: counting has no size guard since it became one pass.
+
+    Kept and exported because callers written against the old guard still
+    name it; the benchmark's counting check in perfbench/worker.py does.
+    """

@@ -1,11 +1,13 @@
 """Shared fixtures and independent brute-force oracles.
 
-The oracles here deliberately avoid the package's search engine and GF(2)
-machinery: matchings are enumerated by naive recursion over the placement
-list, fold loci are traced by walking segments across the seam, and profile
-bounds come from direct product enumeration against constraints recomputed
-from first principles.  Expected values frozen in the tests were produced by
-these oracles.
+The oracles here deliberately avoid the package's search engine and counting
+pass: matchings are enumerated by naive recursion over the placement list,
+fold loci are traced by walking segments across the seam, and profile bounds
+come from direct product enumeration against constraints recomputed from
+first principles.  The counting pass is checked against an explicit
+enumeration of the parity classes of the same ParitySystem (row reduction
+over GF(2), then every combination of the kernel basis).  Expected values
+frozen in the tests were produced by these oracles.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ import pytest
 import fault_atlas
 from fault_atlas import (
     BoardSpec,
+    ParitySystem,
     Tiling,
     Topology,
     build_board,
+    build_parity_system,
     fault_curves,
     placements,
     verify,
@@ -198,6 +202,91 @@ def brute_profile_totals(board: BoardSpec, *, limit: int = 600_000) -> set[int]:
                     if _constraints_ok(board, x, y, u, eff_s):
                         totals.add(sum(xs) + sum(ys) + sum(us) + (s if board.topology in (Topology.CYLINDER, Topology.TORUS) else 0))
     return totals
+
+
+# -- parity classes by explicit enumeration -----------------------------------
+
+def _solve_gf2(equations: tuple[tuple[int, int], ...], n_vars: int):
+    """Row-reduce; returns (particular solution bitmask, kernel basis) or None."""
+    pivots: list[tuple[int, int, int]] = []  # (pivot col, mask, rhs)
+    for mask, rhs in equations:
+        for col, pmask, prhs in pivots:
+            if (mask >> col) & 1:
+                mask ^= pmask
+                rhs ^= prhs
+        if mask == 0:
+            if rhs:
+                return None
+            continue
+        col = (mask & -mask).bit_length() - 1
+        for i, (pcol, pmask, prhs) in enumerate(pivots):
+            if (pmask >> col) & 1:
+                pivots[i] = (pcol, pmask ^ mask, prhs ^ rhs)
+        pivots.append((col, mask, rhs))
+    pivot_cols = {col for col, _, _ in pivots}
+    particular = 0
+    for col, _mask, rhs in pivots:
+        if rhs:
+            particular |= 1 << col
+    kernel = []
+    for free in range(n_vars):
+        if free in pivot_cols:
+            continue
+        vec = 1 << free
+        for col, mask, _rhs in pivots:
+            if (mask >> free) & 1:
+                vec |= 1 << col
+        kernel.append(vec)
+    return particular, kernel
+
+
+def parity_classes(system: ParitySystem) -> Iterator[tuple[int, ...]]:
+    """Every parity assignment satisfying the system's GF(2) equations, each once."""
+    n = len(system.variables)
+    solved = _solve_gf2(system.equations, n)
+    if solved is None:
+        return
+    particular, kernel = solved
+    for pick in range(1 << len(kernel)):
+        vec = particular
+        for k, basis in enumerate(kernel):
+            if (pick >> k) & 1:
+                vec ^= basis
+        yield tuple((vec >> i) & 1 for i in range(n))
+
+
+def _class_stats(system: ParitySystem, parities: tuple[int, ...]) -> tuple[int, int] | None:
+    """(min total, max total) for one parity class, or None if inadmissible."""
+    vmin = []
+    vmax = []
+    for var, p in zip(system.variables, parities):
+        if p > var.cap:
+            return None
+        vmin.append(p)
+        vmax.append(var.cap - ((var.cap - p) % 2))
+    total_min = sum(vmin)
+    for group in system.coverage_groups:
+        if sum(vmin[i] for i in group) == 0:
+            if any(vmax[i] >= 2 for i in group):
+                total_min += 2
+            else:
+                return None
+    return total_min, sum(vmax)
+
+
+def enumerated_report(board: BoardSpec):
+    """(min required, feasible, classes, distinct ranges) by visiting every parity class."""
+    system = build_parity_system(board)
+    classes = 0
+    ranges = set()
+    for parities in parity_classes(system):
+        classes += 1
+        stats = _class_stats(system, parities)
+        if stats is not None:
+            ranges.add(stats)
+    capacity = board.capacity
+    feasible = any(lo <= capacity <= hi and (capacity - lo) % 2 == 0 for lo, hi in ranges)
+    return min((lo for lo, _ in ranges), default=None), feasible, classes, ranges
 
 
 def measure_profile(board: BoardSpec, tiling: Tiling):

@@ -61,10 +61,10 @@ class TestBound:
         assert code == 0
         assert "feasible" in out and "infeasible" not in out
 
-    def test_guard_status_reported(self, capsys):
-        code, out, _ = run(capsys, "bound", "--topology", "mobius", "--a", "40", "--b", "40")
+    def test_tall_mobius_feasible(self, capsys):
+        code, out, _ = run(capsys, "bound", "--topology", "mobius", "--a", "64", "--b", "65")
         assert code == 0
-        assert "parity-space-too-large" in out
+        assert out.startswith("min required 128, capacity 2080, feasible\n")
 
 
 class TestSolveVerifyRenderExpand:

@@ -11,7 +11,9 @@ from fault_atlas import (
     build_board,
     build_parity_system,
     check_profile,
+    classify,
     counting_feasible,
+    fault_curves,
     min_required_tiles,
     profile_of,
 )
@@ -20,7 +22,9 @@ from conftest import (
     boards_upto,
     brute_profile_totals,
     enumerate_fault_free,
+    enumerated_report,
     measure_profile,
+    parity_classes,
 )
 
 
@@ -126,15 +130,14 @@ class TestFeasibility:
         assert report.feasible is False
         assert report.min_required is None
 
-    def test_parity_space_guard(self):
-        # wrap pairs pile up free parity variables on very tall strips
-        report = counting_feasible(build_board("mobius", 40, 40))
-        assert report.status == "parity-space-too-large"
-        assert report.feasible is None
-        from fault_atlas import ParitySpaceTooLargeError
-
-        with pytest.raises(ParitySpaceTooLargeError):
-            min_required_tiles(build_board("mobius", 40, 40))
+    @pytest.mark.parametrize("a,b,minimum", [(40, 40, 120), (40, 41, 80), (64, 65, 128)])
+    def test_tall_mobius_strips_decided(self, a, b, minimum):
+        # one free wrap-pair parity per row pair: 2^19 to 2^32 classes, counted not visited
+        board = build_board("mobius", a, b)
+        report = counting_feasible(board)
+        assert report.status == "ok"
+        assert report.feasible is True and classify(board).tileable
+        assert report.min_required == minimum == min_required_tiles(board)
 
 
 class TestSoundness:
@@ -152,7 +155,7 @@ class TestParitySystem:
     def test_cylinder_4x5_parities(self):
         system = build_parity_system(build_board("cylinder", 4, 5))
         idx = system.var_index()
-        for parities in system.parity_classes():
+        for parities in parity_classes(system):
             assert parities[idx[("x", 1)]] == 1
             assert parities[idx[("x", 2)]] == 0
             assert parities[idx[("x", 3)]] == 1
@@ -161,7 +164,7 @@ class TestParitySystem:
 
     def test_rectangle_6x6_all_even(self):
         system = build_parity_system(build_board("rectangle", 6, 6))
-        classes = list(system.parity_classes())
+        classes = list(parity_classes(system))
         assert len(classes) == 1
         assert all(p == 0 for p in classes[0])
 
@@ -170,8 +173,37 @@ class TestParitySystem:
         system = build_parity_system(board)
         idx = system.var_index()
         u_indices = [i for (kind, _key), i in idx.items() if kind == "u"]
-        for parities in system.parity_classes():
+        for parities in parity_classes(system):
             assert sum(parities[i] for i in u_indices) % 2 == 0
+
+    def test_coverage_groups_are_the_fault_curves(self):
+        for board in boards_upto(10):
+            system = build_parity_system(board)
+            idx = system.var_index()
+            u_vars = tuple(i for (kind, _key), i in idx.items() if kind == "u")
+            expected = []
+            for curve in fault_curves(board):
+                if curve.axis == "horizontal":
+                    expected.append(tuple(idx[("x", line)] for line in sorted(curve.lines)))
+                elif curve.lines == {0}:
+                    expected.append(u_vars if board.topology is Topology.MOBIUS else (idx[("s", None)],))
+                else:
+                    expected.append(tuple(idx[("y", line)] for line in sorted(curve.lines)))
+            assert system.coverage_groups == tuple(expected), board
+
+    def test_one_pass_equals_class_enumeration(self):
+        # every even-area board with sides <= 20 on all four topologies: 1,200 boards
+        checked = 0
+        for board in boards_upto(20):
+            if board.area % 2:
+                continue
+            report = counting_feasible(board)
+            got = (report.min_required, report.feasible, report.parity_classes_examined,
+                   set(report.reachable))
+            assert got == enumerated_report(board), board
+            assert list(report.reachable) == sorted(got[3]), board
+            checked += 1
+        assert checked == 1200
 
 
 class TestBruteForceEquivalence:
