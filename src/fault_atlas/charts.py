@@ -21,16 +21,15 @@ class Chart:
     cells: tuple[str, ...]  # one row string of X/O per height a
 
 
-def build_chart(topology: Topology | str, max_a: int, max_b: int | None = None) -> Chart:
+def build_chart(topology: Topology | str, max_a: int) -> Chart:
     topo = Topology(topology)
-    max_b = max_a if max_b is None else max_b
     rows = []
     for a in range(1, max_a + 1):
         row = []
-        for b in range(1, max_b + 1):
+        for b in range(1, max_a + 1):
             row.append("X" if classify(build_board(topo, a, b)).tileable else "O")
         rows.append("".join(row))
-    return Chart(topo, max_a, max_b, tuple(rows))
+    return Chart(topo, max_a, max_a, tuple(rows))
 
 
 def chart_text(chart: Chart) -> str:

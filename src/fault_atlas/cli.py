@@ -17,7 +17,6 @@ from .counting import counting_feasible
 from .errors import (
     ExpansionFailedError,
     FaultAtlasError,
-    InvalidDimensionError,
     WitnessDecodeError,
     WitnessUnavailableError,
 )
@@ -49,10 +48,7 @@ class _CliError(Exception):
 
 
 def _board(args: argparse.Namespace):
-    try:
-        return build_board(args.topology, args.a, args.b)
-    except InvalidDimensionError as exc:
-        raise _CliError(EXIT_INVALID, str(exc)) from exc
+    return build_board(args.topology, args.a, args.b)
 
 
 def _write_out(text: str, out: "str | None") -> None:
@@ -260,9 +256,6 @@ def main(argv: "list[str] | None" = None) -> int:
     except _CliError as exc:
         print(f"fault-atlas: {exc}", file=sys.stderr)
         return exc.code
-    except InvalidDimensionError as exc:
-        print(f"fault-atlas: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except FaultAtlasError as exc:
         print(f"fault-atlas: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -8,24 +8,29 @@ depth-first; a path is accepted only if the rebuilt tiling re-verifies
 fault-free on the enlarged board, so the search never has to trust the
 construction argument.
 
-Path closure depends on the topology.  A row-insertion path runs across the
-columns: it has free ends on a rectangle, and must close into a cycle through
-the seam on a cylinder or torus (same height on both sides, with an optional
-run along the seam).  On a Moebius strip heights flip across the twist, so
-the twist-compatible closure is h_first + h_last = a; the band then closes
-into a width-2 Moebius sub-band around the cut.  Column-insertion paths run
-across the rows and only the torus needs a closed cycle (through the glued
-row edge).
+Row and column insertion are one search along two axes.  A row-insertion
+path takes one step per column, each at a height 0..a; a column-insertion
+path takes one step per row, each at an offset 0..b.  The topology decides
+two gluings, each absent, plain or twisted: whether positions 0 and the last
+position meet (rows: torus; columns: every wrapped board, twisted on a
+Moebius strip), and whether the last step meets the first (rows: every
+wrapped board, twisted on a Moebius strip; columns: torus).  A glued closure
+makes the path a cycle, with an optional run along the glued line 0.  Across
+a twist positions flip, so a Moebius row path closes when h_first + h_last =
+a, and the band closes into a width-2 Moebius sub-band around the cut.
 """
 
 from __future__ import annotations
 
 from .errors import ExpansionFailedError
 from .tiling import Tiling, tiling_from_edges, verify
-from .topology import Topology, build_board
+from .topology import build_board
 
 ROWS = "rows"
 COLS = "cols"
+
+_PLAIN = "plain"
+_TWISTED = "twisted"
 
 _MAX_LEAVES = 512
 _MAX_NODES = 200_000
@@ -38,21 +43,23 @@ def _candidate_order(limit: int, anchor: int, first: bool) -> list[int]:
 
 
 class _Cut:
-    """Shared DFS over cut paths; axis-specific hooks fill in the geometry."""
+    """DFS over cut paths; __init__ turns the axis and topology into line kinds, sizes and gluings."""
 
     def __init__(self, tiling: Tiling, axis: str) -> None:
-        self.board = tiling.board
+        board = self.board = tiling.board
+        topo, a, b = board.topology, board.a, board.b
         self.axis = axis
         self.placed = {p.edge.key() for p in tiling.dominoes}
-        self.tiling = tiling
-        a, b = self.board.a, self.board.b
-        self.steps = b if axis == ROWS else a  # one position per column / row
-        self.limit = a if axis == ROWS else b
-        self.new_board = build_board(
-            self.board.topology,
-            a + 2 if axis == ROWS else a,
-            b if axis == ROWS else b + 2,
-        )
+        seam = (_TWISTED if topo.twisted else _PLAIN) if topo.wraps_cols else None
+        row_edge = _PLAIN if topo.wraps_rows else None
+        if axis == ROWS:  # one step per column, crossing horizontal lines
+            self.along, self.cross, self.steps, self.limit = "h", "v", b, a
+            self.ends, self.closure = row_edge, seam
+            self.new_board = build_board(topo, a + 2, b)
+        else:  # one step per row, crossing vertical lines
+            self.along, self.cross, self.steps, self.limit = "v", "h", a, b
+            self.ends, self.closure = seam, row_edge
+            self.new_board = build_board(topo, a, b + 2)
         self.leaves = 0
         self.nodes = 0
 
@@ -60,46 +67,30 @@ class _Cut:
 
     def _step_blocked(self, i: int, pos: int) -> bool:
         """Is the path segment across step i at position pos on a tile interior?"""
-        topo = self.board.topology
-        a, b = self.board.a, self.board.b
-        if self.axis == ROWS:
-            if 1 <= pos <= a - 1:
-                return ("h", pos, i) in self.placed
-            if topo is Topology.TORUS:  # heights 0 and a are the glued row edge
-                return ("h", 0, i) in self.placed
+        if 0 < pos < self.limit:
+            return (self.along, pos, i) in self.placed
+        if self.ends is None:
             return False
-        if 1 <= pos <= b - 1:
-            return ("v", pos, i) in self.placed
-        if topo in (Topology.CYLINDER, Topology.TORUS):
-            return ("v", 0, i) in self.placed
-        if topo is Topology.MOBIUS:
-            row = i if pos == b else a - 1 - i  # left edge meets row a-1-i
-            return ("v", 0, row) in self.placed
-        return False
+        if self.ends == _TWISTED and pos == 0:  # the low end of step i meets step steps-1-i
+            i = self.steps - 1 - i
+        return (self.along, 0, i) in self.placed  # positions 0 and limit are glued line 0
 
     def _run_blocked(self, i: int, p: int, q: int) -> bool:
         """Is the connecting run at boundary line i between positions p and q blocked?"""
         lo, hi = (p, q) if p <= q else (q, p)
-        key = "v" if self.axis == ROWS else "h"
-        return any((key, i, y) in self.placed for y in range(lo, hi))
+        return any((self.cross, i, y) in self.placed for y in range(lo, hi))
 
     def _closure_ok(self, first: int, last: int) -> bool:
-        topo = self.board.topology
-        if self.axis == ROWS:
-            if topo is Topology.RECTANGLE:
-                return True
-            if topo is Topology.MOBIUS:
-                # Heights flip across the twist: the path re-enters at a-last
-                # and may run along the seam to first.  Seam segments are
-                # indexed by their right-edge row, so a run over left-edge
-                # rows [lo, hi) blocks the flipped offsets.
-                a = self.board.a
-                lo, hi = sorted((a - last, first))
-                return not any(("v", 0, a - 1 - y) in self.placed for y in range(lo, hi))
-            return not self._run_blocked(0, last, first)
-        if topo is Topology.TORUS:
-            return not self._run_blocked(0, last, first)
-        return True
+        if self.closure is None:
+            return True
+        if self.closure == _TWISTED:
+            # Positions flip across the twist: the path re-enters at limit-last
+            # and may run along the glued line to first.  Glued segments are
+            # indexed by their last-step offset, so a run over first-step
+            # offsets [lo, hi) blocks the flipped ones.
+            lo, hi = sorted((self.limit - last, first))
+            return not any((self.cross, 0, self.limit - 1 - y) in self.placed for y in range(lo, hi))
+        return not self._run_blocked(0, last, first)
 
     # -- search --------------------------------------------------------------
 
@@ -143,40 +134,28 @@ class _Cut:
     # -- rebuilding ----------------------------------------------------------
 
     def _rebuild(self, path: list[int]) -> Tiling:
-        topo = self.board.topology
-        a, b = self.board.a, self.board.b
+        """Shift every domino beyond the cut by two and fill the band, one domino per step.
+
+        A domino across line `line` of the crossed kind lies beyond the cut
+        when its offset is at or past path[line - 1]; the run from there to
+        path[line] is unblocked, so either step gives the same side, and
+        path[-1] serves the glued line 0.
+        """
         new_edges: list[tuple[str, int, int]] = []
-        if self.axis == ROWS:
-            h = path
-            for p in self.tiling.dominoes:
-                axis, line, off = p.edge.key()
-                if axis == "h":
-                    if line == 0:
-                        new_edges.append(("h", 0, off))
-                    else:
-                        new_edges.append(("h", line if line <= h[off] - 1 else line + 2, off))
-                elif line == 0:
-                    anchor = h[b - 1] if topo is Topology.MOBIUS else h[0]
-                    new_edges.append(("v", 0, off + 2 * (off >= anchor)))
-                else:
-                    new_edges.append(("v", line, off + 2 * (off >= h[line])))
-            for c in range(b):
-                new_edges.append(("h", h[c] + 1, c))
-        else:
-            v = path
-            for p in self.tiling.dominoes:
-                axis, line, off = p.edge.key()
-                if axis == "v":
-                    if line == 0:
-                        new_edges.append(("v", 0, off))
-                    else:
-                        new_edges.append(("v", line if line <= v[off] - 1 else line + 2, off))
-                else:
-                    upper = (line - 1) % a
-                    new_edges.append(("h", line, off + 2 * (off >= v[upper])))
-            for r in range(a):
-                new_edges.append(("v", v[r] + 1, r))
+        for axis, line, off in self.placed:
+            if axis == self.along:
+                if line and line >= path[off]:
+                    line += 2
+            elif off >= path[line - 1]:
+                off += 2
+            new_edges.append((axis, line, off))
+        new_edges.extend((self.along, pos + 1, i) for i, pos in enumerate(path))
         return tiling_from_edges(self.new_board, new_edges)
+
+
+def _grow(tiling: Tiling, axis: str) -> Tiling:
+    """The cut search alone: `tiling` must verify fault-free and `axis` be ROWS or COLS."""
+    return _Cut(tiling, axis).search()
 
 
 def expand(tiling: Tiling, axis: str) -> Tiling:
@@ -190,4 +169,4 @@ def expand(tiling: Tiling, axis: str) -> Tiling:
         raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
     if not verify(tiling.board, tiling).fault_free:
         raise ValueError("expansion input must verify fault-free")
-    return _Cut(tiling, axis).search()
+    return _grow(tiling, axis)

@@ -85,10 +85,6 @@ class BoardSpec:
             for c in range(self.b):
                 yield (r, c)
 
-    def cell_index(self, cell: Cell) -> int:
-        r, c = cell
-        return r * self.b + c
-
     def __str__(self) -> str:
         mark = {"rectangle": "", "cylinder": "'", "torus": "'", "mobius": '"'}[self.topology.value]
         tail = "'" if self.topology is Topology.TORUS else ""

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .classify import classify, matching_tileable_families
 from .errors import ExpansionFailedError, InvariantError, WitnessDecodeError, WitnessUnavailableError
-from .expansion import COLS, ROWS, expand
+from .expansion import COLS, ROWS, _grow
 from .search import find_fault_free
 from .tiling import Tiling, decode_for_board, encode, verify, tiling_from_edges
 from .topology import BoardSpec, Topology, build_board
@@ -113,7 +113,8 @@ def _grown(base: BoardSpec, n: int, m: int) -> Tiling | None:
     """The base witness after n row and then m column expansions; None if a step fails.
 
     Only _chain calls this, prefix by prefix, so the prefix asked for here is
-    the entry made or found just before.
+    the entry made or found just before.  That prefix is a verified base or
+    a verified earlier output, so it is grown without expand's input check.
     """
     if n == 0 and m == 0:
         return _base_witness(base)
@@ -121,7 +122,7 @@ def _grown(base: BoardSpec, n: int, m: int) -> Tiling | None:
     if prefix is None:
         return None
     try:
-        return expand(prefix, COLS if m else ROWS)
+        return _grow(prefix, COLS if m else ROWS)
     except ExpansionFailedError:
         return None
 

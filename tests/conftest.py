@@ -329,6 +329,6 @@ def failing_chains(monkeypatch):
         raise ExpansionFailedError(f"no cut path on {tiling.board}")
 
     w._grown.cache_clear()
-    monkeypatch.setattr(w, "expand", fail)
+    monkeypatch.setattr(w, "_grow", fail)
     yield
     w._grown.cache_clear()
