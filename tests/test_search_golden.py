@@ -1,0 +1,61 @@
+"""Search outcomes are a fence: status, node count and witness bytes per board.
+
+`tests/golden/search_outcomes.txt` holds one line per search, in this order:
+
+- `fault-free topology a b status nodes sha256` for every board of area <= 48;
+- `unpruned ...`, the same with `prune=False`, for area <= 24;
+- `tiling ...` from `find_tiling` for area <= 20;
+- `count topology a b n` from `count_tilings` for area <= 16.
+
+The digest is the SHA-256 of `encode(witness)`, or `-` when there is no
+witness.  Regenerate the file only for a deliberate change of the search order:
+
+    PYTHONPATH=src python tests/test_search_golden.py > tests/golden/search_outcomes.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+from typing import Iterator
+
+from fault_atlas import Topology, build_board, count_tilings, encode, find_fault_free, find_tiling
+
+GOLDEN = Path(__file__).parent / "golden" / "search_outcomes.txt"
+
+
+def _boards(max_area: int) -> Iterator:
+    for topo in Topology:
+        for a in range(1, max_area + 1):
+            for b in range(1, max_area // a + 1):
+                yield build_board(topo, a, b)
+
+
+def _line(kind: str, board, outcome) -> str:
+    digest = "-" if outcome.witness is None else hashlib.sha256(
+        encode(outcome.witness).encode("utf-8")).hexdigest()
+    return f"{kind} {board.topology.value} {board.a} {board.b} {outcome.status} {outcome.nodes} {digest}"
+
+
+def outcome_lines() -> Iterator[str]:
+    for board in _boards(48):
+        yield _line("fault-free", board, find_fault_free(board))
+    for board in _boards(24):
+        yield _line("unpruned", board, find_fault_free(board, prune=False))
+    for board in _boards(20):
+        yield _line("tiling", board, find_tiling(board))
+    for board in _boards(16):
+        yield f"count {board.topology.value} {board.a} {board.b} {count_tilings(board)}"
+
+
+def test_search_outcomes_match_golden():
+    expected = GOLDEN.read_text(encoding="utf-8").splitlines()
+    actual = list(outcome_lines())
+    assert len(actual) == len(expected)
+    changed = [(e, a) for e, a in zip(expected, actual) if e != a]
+    assert not changed, f"{len(changed)} search outcomes changed, first: {changed[0]}"
+
+
+if __name__ == "__main__":
+    for line in outcome_lines():
+        print(line)
