@@ -3,14 +3,17 @@
 This is the ground-truth oracle at small sizes, so completeness is the prime
 contract: `exhausted-none` is only ever returned after the whole (pruned)
 space has been traversed, and the fault-curve pruning rule is provably safe:
-a curve is tracked with the number of its crossing edges that are still
-placeable (both endpoint cells uncovered); once an uncrossed curve's count
-hits zero no completion can cross it, so the subtree contains no fault-free
-tiling.
+a child is cut when a curve next to the domino just placed is uncrossed and
+has no free crossing pair (no crossing edge with both cells uncovered).
+Cells are only ever covered deeper in the tree, so no completion can cross
+that curve and the subtree contains no fault-free tiling.
 
-Backtracking expands the first uncovered cell in a column-major sweep and
-tries its placements vertical-first, then horizontal, then wrapping, lower
-line index first, which makes node counts reproducible.
+The state is two integers passed by value, so nothing is undone.  Bit i of
+the cover mask is the i-th cell of the column-major sweep (cell (r, c) is bit
+c*a + r), so the cell to expand is the lowest zero bit.  Bit k of the crossed
+mask is fault curve k, numbered as `topology._curve_id` numbers them.  A
+cell's placements are tried vertical-first, then horizontal, then wrapping;
+then by line, offset and edge id, which makes node counts reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantError, OracleRangeError
 from .tiling import Tiling, verify
-from .topology import BoardSpec, _curve_id, placements
+from .topology import BoardSpec, CrossingEdge, Placement, _curve_id, _edges
 
 FOUND = "found"
 EXHAUSTED = "exhausted-none"
@@ -43,45 +46,42 @@ class SearchOutcome:
     status: str  # found | exhausted-none | inconclusive
     witness: Tiling | None
     nodes: int
+    pruned: int = 0  # children cut by the fault-curve rule
 
 
 class _Geometry:
-    """Flat integer-indexed view of a board for the hot search loop."""
+    """The board as bit masks: per-cell placements and per-curve crossing pairs."""
 
-    __slots__ = ("board", "n_cells", "edges", "nbrs", "incident", "scan_order",
-                 "curve_caps", "n_curves")
+    __slots__ = ("edges", "moves", "pairs", "full")
 
     def __init__(self, board: BoardSpec) -> None:
-        self.board = board
-        a, b = board.a, board.b
-        self.n_cells = a * b
-        plcs = placements(board)
-        self.n_curves = _curve_id(board, "v", b)  # one past the last curve id
-        self.curve_caps = [0] * self.n_curves  # crossing edges per curve
-        # edges[eid] = (cell_u, cell_v, curve_id); deterministic id order
-        self.edges = []
-        for p in plcs:
-            (r1, c1), (r2, c2) = p.cells
-            cv = _curve_id(board, p.edge.axis, p.edge.line)
-            self.curve_caps[cv] += 1
-            self.edges.append((r1 * b + c1, r2 * b + c2, cv))
-        # tie-break groups: vertical dominoes, horizontal, then wraps
-        def tie_key(i: int) -> tuple[int, int, int]:
-            e = plcs[i].edge
-            group = 2 if e.line == 0 else (0 if e.axis == "h" else 1)
-            return (group, e.line, e.offset)
-
-        order = sorted(range(len(plcs)), key=tie_key)
-        self.nbrs = [[] for _ in range(self.n_cells)]
-        self.incident = [[] for _ in range(self.n_cells)]
-        for eid in order:
-            u, v, _cv = self.edges[eid]
-            self.nbrs[u].append((v, eid))
-            self.nbrs[v].append((u, eid))
-        for eid, (u, v, cv) in enumerate(self.edges):
-            self.incident[u].append((eid, cv))
-            self.incident[v].append((eid, cv))
-        self.scan_order = [r * b + c for c in range(b) for r in range(a)]
+        a = board.a
+        # edges[eid] = (axis, line, offset, cells), the topology's records in edge id order
+        self.edges = edges = tuple(_edges(board))
+        curve = [_curve_id(board, axis, line) for axis, line, _offset, _cells in edges]
+        bits = [(c1 * a + r1, c2 * a + r2) for *_key, ((r1, c1), (r2, c2)) in edges]
+        pairs: list[list[int]] = [[] for _ in range(_curve_id(board, "v", board.b))]
+        at: list[set[int]] = [set() for _ in range(board.area)]  # curves of the edges at each cell
+        for eid, (i, j) in enumerate(bits):
+            pairs[curve[eid]].append(1 << i | 1 << j)
+            at[i].add(curve[eid])
+            at[j].add(curve[eid])
+        # the sweep covers low bits first, so free pairs are likelier among the high ones
+        self.pairs = tuple(tuple(reversed(p)) for p in pairs)
+        curves = [(1 << k, p) for k, p in enumerate(self.pairs)]
+        # a placement: (cells mask, curve bit, edge id, the other curves of edges sharing a cell)
+        plcs = [(1 << i | 1 << j, 1 << k, eid, tuple(curves[c] for c in at[i] | at[j] if c != k))
+                for eid, ((i, j), k) in enumerate(zip(bits, curve))]
+        # moves[i]: the placements covering cell i in tie-break order: vertical
+        # dominoes, horizontal, then wraps; then line, offset, edge id
+        moves: list[list[tuple]] = [[] for _ in range(board.area)]
+        for *_key, eid in sorted((2 if line == 0 else 0 if axis == "h" else 1, line, offset, eid)
+                                for eid, (axis, line, offset, _cells) in enumerate(edges)):
+            i, j = bits[eid]
+            moves[i].append(plcs[eid])
+            moves[j].append(plcs[eid])
+        self.moves = tuple(map(tuple, moves))
+        self.full = (1 << board.area) - 1
 
 
 @functools.lru_cache(maxsize=256)
@@ -96,7 +96,6 @@ class _BudgetExceeded(Exception):
 class _Searcher:
     def __init__(self, board: BoardSpec, budget: SearchBudget | None, *,
                  fault_free: bool, prune: bool, count_all: bool) -> None:
-        self.geo = _geometry(board)
         self.board = board
         self.fault_free = fault_free
         self.prune = prune and fault_free
@@ -106,90 +105,70 @@ class _Searcher:
         if budget and budget.max_millis is not None:
             self.deadline = time.monotonic() + budget.max_millis / 1000.0
         self.nodes = 0
+        self.pruned = 0
         self.count = 0
         self.witness_edges: list[int] | None = None
 
     def run(self) -> str:
-        geo = self.geo
         if self.board.area % 2:
             return EXHAUSTED
-        covered = bytearray(geo.n_cells)
-        avail_e = bytearray([1]) * len(geo.edges)
-        avail_c = list(geo.curve_caps)
-        crossed = [0] * geo.n_curves
-        if self.prune and any(cap == 0 for cap in geo.curve_caps):
+        geo = self.geo = _geometry(self.board)
+        if self.prune and not all(geo.pairs):
             return EXHAUSTED
-        placed: list[int] = []
+        self.all_crossed = (1 << len(geo.pairs)) - 1
         try:
-            done = self._rec(0, covered, avail_e, avail_c, crossed, placed)
+            done = self._rec(0, 0)
         except _BudgetExceeded:
             return INCONCLUSIVE
         if done:
             return FOUND
         return EXHAUSTED
 
-    def _rec(self, pos: int, covered: bytearray, avail_e: bytearray,
-             avail_c: list[int], crossed: list[int], placed: list[int]) -> bool:
+    def _rec(self, cover: int, crossed: int) -> bool:
         geo = self.geo
-        scan = geo.scan_order
-        n = geo.n_cells
-        while pos < n and covered[scan[pos]]:
-            pos += 1
-        if pos == n:
-            if self.fault_free and any(crossed[c] == 0 for c in range(geo.n_curves)):
+        if cover == geo.full:
+            if self.fault_free and crossed != self.all_crossed:
                 return False
             if self.count_all:
                 self.count += 1
                 return False
-            self.witness_edges = list(placed)
+            self.witness_edges = []
             return True
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             raise _BudgetExceeded
         if self.deadline is not None and not (self.nodes & 1023) and time.monotonic() > self.deadline:
             raise _BudgetExceeded
-        u = scan[pos]
-        edges = geo.edges
-        incident = geo.incident
-        fault = self.fault_free
         pruning = self.prune
-        for v, eid in geo.nbrs[u]:
-            if covered[v]:
+        for mask, bit, eid, near in geo.moves[(~cover & (cover + 1)).bit_length() - 1]:
+            if mask & cover:
                 continue
-            covered[u] = 1
-            covered[v] = 1
-            undo: list[tuple[int, int]] = []
-            dead = False
-            if fault:
-                cv = edges[eid][2]
-                crossed[cv] += 1
-                for cell in (u, v):
-                    for e2, cv2 in incident[cell]:
-                        if avail_e[e2]:
-                            avail_e[e2] = 0
-                            avail_c[cv2] -= 1
-                            undo.append((e2, cv2))
-                            if pruning and avail_c[cv2] == 0 and crossed[cv2] == 0:
-                                dead = True
-            if not dead:
-                placed.append(eid)
-                if self._rec(pos + 1, covered, avail_e, avail_c, crossed, placed):
-                    return True
-                placed.pop()
-            if fault:
-                crossed[edges[eid][2]] -= 1
-                for e2, cv2 in undo:
-                    avail_e[e2] = 1
-                    avail_c[cv2] += 1
-            covered[u] = 0
-            covered[v] = 0
+            child = cover | mask
+            now = crossed | bit
+            if pruning:
+                dead = False
+                for k, pairs in near:
+                    if not now & k:
+                        for p in pairs:
+                            if not p & child:
+                                break
+                        else:  # curve k is uncrossed and has no free crossing pair
+                            dead = True
+                            break
+                if dead:
+                    self.pruned += 1
+                    continue
+            if self._rec(child, now):
+                self.witness_edges.append(eid)
+                return True
         return False
 
     def witness(self) -> Tiling | None:
         if self.witness_edges is None:
             return None
-        plcs = placements(self.board)
-        return Tiling(self.board, frozenset(plcs[eid] for eid in self.witness_edges))
+        records = (self.geo.edges[eid] for eid in self.witness_edges)
+        return Tiling(self.board, frozenset(Placement(CrossingEdge(axis, line, offset), cells)
+                                            for axis, line, offset, cells in records))
 
 
 def find_tiling(board: BoardSpec, budget: SearchBudget | None = None) -> SearchOutcome:
@@ -199,7 +178,7 @@ def find_tiling(board: BoardSpec, budget: SearchBudget | None = None) -> SearchO
     witness = s.witness() if status == FOUND else None
     if witness is not None and not verify(board, witness).matching_valid:
         raise InvariantError(f"search returned an invalid tiling of {board}")
-    return SearchOutcome(status, witness, s.nodes)
+    return SearchOutcome(status, witness, s.nodes, s.pruned)
 
 
 def count_tilings(board: BoardSpec, budget: SearchBudget | None = None) -> int | None:
@@ -223,7 +202,7 @@ def find_fault_free(board: BoardSpec, budget: SearchBudget | None = None, *,
     witness = s.witness() if status == FOUND else None
     if witness is not None and not verify(board, witness).fault_free:
         raise InvariantError(f"search returned a tiling of {board} that is not fault-free")
-    return SearchOutcome(status, witness, s.nodes)
+    return SearchOutcome(status, witness, s.nodes, s.pruned)
 
 
 def fault_free_exists_oracle(board: BoardSpec, *, ceiling: int = ORACLE_CEILING) -> bool:

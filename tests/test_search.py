@@ -17,6 +17,7 @@ from fault_atlas import (
     fault_free_exists_oracle,
     find_fault_free,
     find_tiling,
+    placements,
     verify,
 )
 from fault_atlas.search import _geometry
@@ -87,7 +88,7 @@ class TestFindFaultFree:
             board = build_board(topo, a, b)
             first = find_fault_free(board)
             second = find_fault_free(board)
-            assert (first.status, first.nodes) == (second.status, second.nodes)
+            assert (first.status, first.nodes, first.pruned) == (second.status, second.nodes, second.pruned)
             if first.witness is not None:
                 assert first.witness == second.witness
 
@@ -96,6 +97,13 @@ class TestFindFaultFree:
             expected = any(True for _ in enumerate_fault_free(board))
             got = find_fault_free(board).status == "found"
             assert got == expected, board
+
+    def test_pruned_children_counted(self):
+        board = build_board("rectangle", 6, 6)
+        assert find_fault_free(board, prune=False).pruned == 0
+        assert find_tiling(board).pruned == 0
+        runs = {find_fault_free(board).pruned for _ in range(3)}
+        assert len(runs) == 1 and runs.pop() > 0
 
     def test_pruning_differential_small(self):
         for board in boards_upto(6, max_area=16):
@@ -139,4 +147,21 @@ def test_witness_check_holds_under_optimize():
 
 def test_geometry_caps_match_fault_curves():
     for board in boards_upto(10):
-        assert _geometry(board).curve_caps == [c.cap for c in fault_curves(board)], board
+        pairs = _geometry(board).pairs
+        assert [len(p) for p in pairs] == [c.cap for c in fault_curves(board)], board
+        for curve in fault_curves(board):  # cell (r, c) is bit c*a + r of the column-major sweep
+            cells = [p.cells for p in placements(board) if p.edge in curve.crossing_edges]
+            masks = [sum(1 << (c * board.a + r) for r, c in pair) for pair in cells]
+            assert sorted(pairs[curve.id]) == sorted(masks), (board, curve.id)
+
+
+def test_search_builds_no_board_table():
+    odd = build_board("torus", 5, 7)
+    _geometry.cache_clear()
+    assert find_tiling(odd).nodes == find_fault_free(odd).nodes == count_tilings(odd) == 0
+    assert _geometry.cache_info().misses == 0
+    tables = (placements.cache_info(), fault_curves.cache_info())
+    for board in (build_board("mobius", 5, 4), build_board("cylinder", 4, 6)):
+        assert find_tiling(board).status == find_fault_free(board).status == "found"
+        assert count_tilings(board) > 0
+    assert (placements.cache_info(), fault_curves.cache_info()) == tables
