@@ -140,7 +140,8 @@ class _Searcher:
         if self.deadline is not None and not (self.nodes & 1023) and time.monotonic() > self.deadline:
             raise _BudgetExceeded
         pruning = self.prune
-        for mask, bit, eid, near in geo.moves[(~cover & (cover + 1)).bit_length() - 1]:
+        first_free = (~cover & (cover + 1)).bit_length() - 1  # the lowest zero bit
+        for mask, bit, eid, near in geo.moves[first_free]:
             if mask & cover:
                 continue
             child = cover | mask
@@ -159,7 +160,7 @@ class _Searcher:
                     self.pruned += 1
                     continue
             if self._rec(child, now):
-                self.witness_edges.append(eid)
+                self.witness_edges.append(eid)  # the path is collected as the found branch unwinds
                 return True
         return False
 
