@@ -26,7 +26,6 @@ from .errors import (
 from .expansion import expand
 from .render import ascii_render, svg_render
 from .search import (
-    SearchBudget,
     SearchOutcome,
     count_tilings,
     fault_free_exists_oracle,
@@ -67,7 +66,6 @@ __all__ = [
     "ParitySpaceTooLargeError",
     "ParitySystem",
     "Placement",
-    "SearchBudget",
     "SearchOutcome",
     "Tiling",
     "Topology",

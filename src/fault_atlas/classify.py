@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantError
 from .topology import BoardSpec, Topology, build_board
 
 REASON_ODD_AREA = "odd-area"
@@ -153,7 +154,7 @@ def classify(board: BoardSpec) -> Verdict:
     # Every rectangle row but 1 x 2 has both sides at least 5, so no row can shadow this one.
     if board.topology is Topology.RECTANGLE and min(a, b) <= 4:
         return Verdict(False, REASON_RULE, "min(a,b) <= 4")
-    raise AssertionError(f"no family matches {board}")  # totality is an invariant
+    raise InvariantError(f"no family matches {board}")  # totality is an invariant
 
 
 def matching_tileable_families(board: BoardSpec) -> list[tuple[Family, int, int]]:

@@ -20,7 +20,7 @@ from .errors import (
     WitnessDecodeError,
     WitnessUnavailableError,
 )
-from .expansion import expand
+from .expansion import _grow
 from .render import ascii_render, svg_render
 from .tiling import decode, encode, verify
 from .topology import Topology, build_board
@@ -150,7 +150,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         print("witness fails verification; cannot expand", file=sys.stderr)
         return EXIT_VERIFY
     try:
-        grown = expand(tiling, args.axis)
+        grown = _grow(tiling, args.axis)  # the input was verified just above
     except ExpansionFailedError as exc:
         raise _CliError(EXIT_INVALID, str(exc)) from exc
     _write_out(encode(grown), args.out)

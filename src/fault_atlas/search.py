@@ -1,10 +1,11 @@
 """Exhaustive backtracking search: tiling existence, counting, fault-free search.
 
 This is the ground-truth oracle at small sizes, so completeness is the prime
-contract: `exhausted-none` is only ever returned after the whole (pruned)
-space has been traversed, and the fault-curve pruning rule is provably safe:
-a child is cut when a curve next to the domino just placed is uncrossed and
-has no free crossing pair (no crossing edge with both cells uncovered).
+contract: a search always runs to completion and ends `found` or
+`exhausted-none`, so `exhausted-none` means the whole (pruned) space was
+traversed.  The fault-curve pruning rule is provably safe: a child is cut
+when a curve next to the domino just placed is uncrossed and has no free
+crossing pair (no crossing edge with both cells uncovered).
 Cells are only ever covered deeper in the tree, so no completion can cross
 that curve and the subtree contains no fault-free tiling.
 
@@ -19,7 +20,6 @@ then by line, offset and edge id, which makes node counts reproducible.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 
 from .errors import InvariantError, OracleRangeError
@@ -28,22 +28,13 @@ from .topology import BoardSpec, CrossingEdge, Placement, _curve_id, _edges
 
 FOUND = "found"
 EXHAUSTED = "exhausted-none"
-INCONCLUSIVE = "inconclusive"
 
 ORACLE_CEILING = 48
 
 
 @dataclass(frozen=True)
-class SearchBudget:
-    """Limits on a single search; exceeding either yields `inconclusive`."""
-
-    max_nodes: int | None = None
-    max_millis: int | None = None
-
-
-@dataclass(frozen=True)
 class SearchOutcome:
-    status: str  # found | exhausted-none | inconclusive
+    status: str  # found | exhausted-none: the search always runs to completion
     witness: Tiling | None
     nodes: int
     pruned: int = 0  # children cut by the fault-curve rule
@@ -89,40 +80,26 @@ def _geometry(board: BoardSpec) -> _Geometry:
     return _Geometry(board)
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 class _Searcher:
-    def __init__(self, board: BoardSpec, budget: SearchBudget | None, *,
-                 fault_free: bool, prune: bool, count_all: bool) -> None:
+    def __init__(self, board: BoardSpec, *, fault_free: bool, prune: bool, count_all: bool) -> None:
         self.board = board
         self.fault_free = fault_free
         self.prune = prune and fault_free
         self.count_all = count_all
-        self.max_nodes = budget.max_nodes if budget else None
-        self.deadline = None
-        if budget and budget.max_millis is not None:
-            self.deadline = time.monotonic() + budget.max_millis / 1000.0
         self.nodes = 0
         self.pruned = 0
         self.count = 0
         self.witness_edges: list[int] | None = None
 
-    def run(self) -> str:
+    def run(self) -> bool:
+        """Traverse the whole (pruned) space; True when a tiling was found."""
         if self.board.area % 2:
-            return EXHAUSTED
+            return False
         geo = self.geo = _geometry(self.board)
         if self.prune and not all(geo.pairs):
-            return EXHAUSTED
+            return False
         self.all_crossed = (1 << len(geo.pairs)) - 1
-        try:
-            done = self._rec(0, 0)
-        except _BudgetExceeded:
-            return INCONCLUSIVE
-        if done:
-            return FOUND
-        return EXHAUSTED
+        return self._rec(0, 0)
 
     def _rec(self, cover: int, crossed: int) -> bool:
         geo = self.geo
@@ -135,10 +112,6 @@ class _Searcher:
             self.witness_edges = []
             return True
         self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _BudgetExceeded
-        if self.deadline is not None and not (self.nodes & 1023) and time.monotonic() > self.deadline:
-            raise _BudgetExceeded
         pruning = self.prune
         first_free = (~cover & (cover + 1)).bit_length() - 1  # the lowest zero bit
         for mask, bit, eid, near in geo.moves[first_free]:
@@ -164,51 +137,46 @@ class _Searcher:
                 return True
         return False
 
-    def witness(self) -> Tiling | None:
-        if self.witness_edges is None:
-            return None
+    def witness(self) -> Tiling:
         records = (self.geo.edges[eid] for eid in self.witness_edges)
         return Tiling(self.board, frozenset(Placement(CrossingEdge(axis, line, offset), cells)
                                             for axis, line, offset, cells in records))
 
 
-def find_tiling(board: BoardSpec, budget: SearchBudget | None = None) -> SearchOutcome:
+def _search(board: BoardSpec, *, fault_free: bool, prune: bool) -> SearchOutcome:
+    """Run one search and re-verify its witness in the search's own mode."""
+    s = _Searcher(board, fault_free=fault_free, prune=prune, count_all=False)
+    if not s.run():
+        return SearchOutcome(EXHAUSTED, None, s.nodes, s.pruned)
+    witness = s.witness()
+    report = verify(board, witness)
+    if not (report.fault_free if fault_free else report.matching_valid):
+        raise InvariantError(f"search returned a tiling of {board} that fails verification")
+    return SearchOutcome(FOUND, witness, s.nodes, s.pruned)
+
+
+def find_tiling(board: BoardSpec) -> SearchOutcome:
     """Search for any perfect matching; exhausted-none is definitive."""
-    s = _Searcher(board, budget, fault_free=False, prune=False, count_all=False)
-    status = s.run()
-    witness = s.witness() if status == FOUND else None
-    if witness is not None and not verify(board, witness).matching_valid:
-        raise InvariantError(f"search returned an invalid tiling of {board}")
-    return SearchOutcome(status, witness, s.nodes, s.pruned)
+    return _search(board, fault_free=False, prune=False)
 
 
-def count_tilings(board: BoardSpec, budget: SearchBudget | None = None) -> int | None:
+def count_tilings(board: BoardSpec) -> int:
     """Exact number of perfect matchings over edge-based placements.
 
-    Parallel edges between the same cell pair count separately.  Returns
-    None when the budget ran out (inconclusive).
+    Parallel edges between the same cell pair count separately.
     """
-    s = _Searcher(board, budget, fault_free=False, prune=False, count_all=True)
-    status = s.run()
-    if status == INCONCLUSIVE:
-        return None
+    s = _Searcher(board, fault_free=False, prune=False, count_all=True)
+    s.run()
     return s.count
 
 
-def find_fault_free(board: BoardSpec, budget: SearchBudget | None = None, *,
-                    prune: bool = True) -> SearchOutcome:
+def find_fault_free(board: BoardSpec, *, prune: bool = True) -> SearchOutcome:
     """Search for a fault-free tiling; exhausted-none means none exists."""
-    s = _Searcher(board, budget, fault_free=True, prune=prune, count_all=False)
-    status = s.run()
-    witness = s.witness() if status == FOUND else None
-    if witness is not None and not verify(board, witness).fault_free:
-        raise InvariantError(f"search returned a tiling of {board} that is not fault-free")
-    return SearchOutcome(status, witness, s.nodes, s.pruned)
+    return _search(board, fault_free=True, prune=prune)
 
 
 def fault_free_exists_oracle(board: BoardSpec, *, ceiling: int = ORACLE_CEILING) -> bool:
     """Definitive fault-free tileability by complete enumeration with pruning."""
     if board.area > ceiling:
         raise OracleRangeError(f"area {board.area} exceeds oracle ceiling {ceiling}")
-    outcome = find_fault_free(board, None)
-    return outcome.status == FOUND
+    return find_fault_free(board).status == FOUND

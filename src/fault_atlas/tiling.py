@@ -82,11 +82,10 @@ def verify(board: BoardSpec, tiling: Tiling) -> VerificationReport:
     )
 
 
-def tiling_from_edges(board: BoardSpec, edges: "list[CrossingEdge] | list[tuple[str, int, int]]") -> Tiling:
-    """Build a tiling from crossing edges known to exist on the board."""
+def tiling_from_edges(board: BoardSpec, edges: list[tuple[str, int, int]]) -> Tiling:
+    """Build a tiling from (axis, line, offset) edge keys known to exist on the board."""
     dominoes = []
-    for edge in edges:
-        key = edge.key() if isinstance(edge, CrossingEdge) else (edge[0], edge[1], edge[2])
+    for key in edges:
         cells = _edge_cells(board, *key)
         if cells is None:
             raise InvalidWitnessError(f"no edge {key} on {board}")

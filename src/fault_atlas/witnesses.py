@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .classify import classify, matching_tileable_families
+from .classify import base_boards, classify, matching_tileable_families
 from .errors import ExpansionFailedError, InvariantError, WitnessDecodeError, WitnessUnavailableError
 from .expansion import COLS, ROWS, _grow
 from .search import find_fault_free
@@ -90,8 +90,6 @@ def _base_witness(board: BoardSpec) -> Tiling:
 
 def base_cases(topology: Topology) -> list[BaseCase]:
     """Each expanding tileable family's minimal board with a verified witness."""
-    from .classify import base_boards
-
     return [BaseCase(b, _base_witness(b)) for b in base_boards(topology)]
 
 

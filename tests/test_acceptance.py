@@ -11,7 +11,6 @@ import time
 from pathlib import Path
 
 from fault_atlas import (
-    SearchBudget,
     Topology,
     build_board,
     build_parity_system,

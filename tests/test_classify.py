@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from fault_atlas import Topology, build_board, classify, counting_feasible, fault_free_exists_oracle
+from fault_atlas import (
+    InvariantError,
+    Topology,
+    build_board,
+    classify,
+    counting_feasible,
+    fault_free_exists_oracle,
+)
 from fault_atlas.classify import FAMILIES, base_boards, canonical_dims
 from conftest import boards_upto
 
@@ -75,6 +82,12 @@ class TestTotality:
     def test_canonical_dims(self):
         assert canonical_dims(build_board("torus", 4, 9)) == (9, 4)
         assert canonical_dims(build_board("cylinder", 4, 9)) == (4, 9)
+
+    def test_unmatched_even_board_raises_invariant_error(self, monkeypatch):
+        # an InvariantError, not an assert, so the check also holds under python -O
+        monkeypatch.setitem(FAMILIES, Topology.TORUS, ())
+        with pytest.raises(InvariantError, match="no family matches"):
+            classify(build_board("torus", 4, 4))
 
 
 class TestBases:

@@ -139,6 +139,11 @@ class TestSolveVerifyRenderExpand:
         assert out.startswith("board: rectangle 5x6\nmatching valid: False\nuncovered cells: [")
         assert out.endswith("fault-free: False\n")
         assert err == "witness fails verification:\n" + out
+        grown = tmp_path / "grown.json"
+        code, _, err = run(capsys, "expand", str(wfile), "--axis", "rows", "--out", str(grown))
+        assert code == 3
+        assert err == "witness fails verification; cannot expand\n"
+        assert not grown.exists()
 
     def test_malformed_witness_exit_2(self, capsys, tmp_path):
         wfile = tmp_path / "bad.json"

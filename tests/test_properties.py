@@ -1,4 +1,5 @@
-"""Property tests: the witness codec round trip and expansion preserving verification.
+"""Property tests: the witness codec round trip, expansion preserving verification,
+and counting feasibility agreeing with the classification.
 
 Hypothesis is optional: without it this module is skipped.
 """
@@ -15,6 +16,7 @@ from fault_atlas import (  # noqa: E402
     Topology,
     build_board,
     classify,
+    counting_feasible,
     decode,
     encode,
     expand,
@@ -52,3 +54,13 @@ def test_expand_keeps_verify(board, axis):
     grown = expand(witness(board), axis)
     assert grown.board == target
     assert verify(target, grown).fault_free
+
+
+even_boards = st.builds(build_board, st.sampled_from(list(Topology)),
+                        st.integers(1, 64), st.integers(1, 64)).filter(lambda bd: bd.area % 2 == 0)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(even_boards)
+def test_counting_agrees_with_classify(board):
+    assert counting_feasible(board).feasible == classify(board).tileable

@@ -198,7 +198,7 @@ def test_invariant_holds_under_optimize():
         import fault_atlas.witnesses as w
         from fault_atlas import InvariantError, SearchOutcome, build_board
 
-        w.find_fault_free = lambda board, budget=None: SearchOutcome("exhausted-none", None, 0)
+        w.find_fault_free = lambda board: SearchOutcome("exhausted-none", None, 0)
         try:
             w._base_witness(build_board("rectangle", 5, 6))
         except InvariantError:
