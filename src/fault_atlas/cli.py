@@ -259,6 +259,9 @@ def main(argv: "list[str] | None" = None) -> int:
     except FaultAtlasError as exc:
         print(f"fault-atlas: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except OSError as exc:  # a witness cache that cannot be written
+        print(f"fault-atlas: I/O failure: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

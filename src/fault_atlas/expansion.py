@@ -6,7 +6,8 @@ side by two, and fills the freed width-2 band with parallel dominoes, one per
 path step, each offset to follow the path.  Candidate paths are enumerated
 depth-first; a path is accepted only if the rebuilt tiling re-verifies
 fault-free on the enlarged board, so the search never has to trust the
-construction argument.
+construction argument.  The search reads and writes edge keys (axis, line,
+offset) only; `expand` turns them into placements once, at the end.
 
 Row and column insertion are one search along two axes.  A row-insertion
 path takes one step per column, each at a height 0..a; a column-insertion
@@ -23,8 +24,8 @@ a, and the band closes into a width-2 Moebius sub-band around the cut.
 from __future__ import annotations
 
 from .errors import ExpansionFailedError
-from .tiling import Tiling, tiling_from_edges, verify
-from .topology import build_board
+from .tiling import EdgeKey, Tiling, _edge_keys, _verify_keys, tiling_from_edges, verify
+from .topology import BoardSpec, build_board
 
 ROWS = "rows"
 COLS = "cols"
@@ -45,11 +46,11 @@ def _candidate_order(limit: int, anchor: int, first: bool) -> list[int]:
 class _Cut:
     """DFS over cut paths; __init__ turns the axis and topology into line kinds, sizes and gluings."""
 
-    def __init__(self, tiling: Tiling, axis: str) -> None:
-        board = self.board = tiling.board
+    def __init__(self, board: BoardSpec, keys: frozenset[EdgeKey], axis: str) -> None:
+        self.board = board
         topo, a, b = board.topology, board.a, board.b
         self.axis = axis
-        self.placed = {p.edge.key() for p in tiling.dominoes}
+        self.placed = keys
         seam = (_TWISTED if topo.twisted else _PLAIN) if topo.wraps_cols else None
         row_edge = _PLAIN if topo.wraps_rows else None
         if axis == ROWS:  # one step per column, crossing horizontal lines
@@ -94,16 +95,16 @@ class _Cut:
 
     # -- search --------------------------------------------------------------
 
-    def search(self) -> Tiling:
+    def search(self) -> tuple[BoardSpec, frozenset[EdgeKey]]:
         path: list[int] = []
         result = self._dfs(path)
         if result is None:
             raise ExpansionFailedError(
                 f"no verifying cut path for {self.board} axis={self.axis}"
             )
-        return result
+        return self.new_board, result
 
-    def _dfs(self, path: list[int]) -> Tiling | None:
+    def _dfs(self, path: list[int]) -> frozenset[EdgeKey] | None:
         i = len(path)
         if i == self.steps:
             if not self._closure_ok(path[0], path[-1]):
@@ -112,8 +113,8 @@ class _Cut:
             if self.leaves > _MAX_LEAVES:
                 raise ExpansionFailedError(f"cut search leaf budget exhausted on {self.board}")
             candidate = self._rebuild(path)
-            if verify(self.new_board, candidate).fault_free:
-                return candidate
+            if _verify_keys(self.new_board, candidate).fault_free:
+                return frozenset(candidate)
             return None
         order = _candidate_order(self.limit, path[-1] if path else self.limit // 2, not path)
         for pos in order:
@@ -133,7 +134,7 @@ class _Cut:
 
     # -- rebuilding ----------------------------------------------------------
 
-    def _rebuild(self, path: list[int]) -> Tiling:
+    def _rebuild(self, path: list[int]) -> list[EdgeKey]:
         """Shift every domino beyond the cut by two and fill the band, one domino per step.
 
         A domino across line `line` of the crossed kind lies beyond the cut
@@ -141,7 +142,7 @@ class _Cut:
         path[line] is unblocked, so either step gives the same side, and
         path[-1] serves the glued line 0.
         """
-        new_edges: list[tuple[str, int, int]] = []
+        new_edges: list[EdgeKey] = []
         for axis, line, off in self.placed:
             if axis == self.along:
                 if line and line >= path[off]:
@@ -150,12 +151,21 @@ class _Cut:
                 off += 2
             new_edges.append((axis, line, off))
         new_edges.extend((self.along, pos + 1, i) for i, pos in enumerate(path))
-        return tiling_from_edges(self.new_board, new_edges)
+        return new_edges
+
+
+def _grow_keys(board: BoardSpec, keys: frozenset[EdgeKey],
+               axis: str) -> tuple[BoardSpec, frozenset[EdgeKey]]:
+    """The cut search alone: `keys` must verify fault-free on `board` and `axis` be ROWS or COLS.
+
+    Returns the grown board and its tiling's edge keys.
+    """
+    return _Cut(board, keys, axis).search()
 
 
 def _grow(tiling: Tiling, axis: str) -> Tiling:
-    """The cut search alone: `tiling` must verify fault-free and `axis` be ROWS or COLS."""
-    return _Cut(tiling, axis).search()
+    """The cut search on a tiling that verifies fault-free; placements are built once, for the result."""
+    return tiling_from_edges(*_grow_keys(tiling.board, _edge_keys(tiling), axis))
 
 
 def expand(tiling: Tiling, axis: str) -> Tiling:

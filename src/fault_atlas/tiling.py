@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
+from typing import Iterable
 
 from .errors import InvalidWitnessError, WitnessDecodeError
 from .topology import (
@@ -29,6 +32,8 @@ from .topology import (
     build_board,
 )
 
+EdgeKey = tuple[str, int, int]  # (axis, line, offset) of a domino's crossing edge
+
 
 @dataclass(frozen=True)
 class Tiling:
@@ -36,6 +41,14 @@ class Tiling:
 
     board: BoardSpec
     dominoes: frozenset[Placement]
+
+
+_edge_key = attrgetter("edge.axis", "edge.line", "edge.offset")
+_cells = attrgetter("cells")
+
+
+def _edge_keys(tiling: Tiling) -> frozenset[EdgeKey]:
+    return frozenset(map(_edge_key, tiling.dominoes))
 
 
 @dataclass(frozen=True)
@@ -57,17 +70,35 @@ def verify(board: BoardSpec, tiling: Tiling) -> VerificationReport:
     """
     if tiling.board != board:
         raise InvalidWitnessError(f"tiling is for {tiling.board}, not {board}")
-    b = board.b
+    # Two lock-step passes over one unchanged frozenset visit it in one order.
+    return _report(board, zip(map(_edge_key, tiling.dominoes), map(_cells, tiling.dominoes)))
+
+
+def _verify_keys(board: BoardSpec, keys: Iterable[EdgeKey]) -> VerificationReport:
+    """verify() for a tiling given as edge keys, each domino's cells implied by its key."""
+    return _report(board, zip(keys, repeat(None)))
+
+
+def _report(board: BoardSpec,
+            dominoes: Iterable[tuple[EdgeKey, tuple[Cell, Cell] | None]]) -> VerificationReport:
+    """The verification core, over (edge key, declared cells or None) pairs."""
+    a, b = board.a, board.b
     coverage = bytearray(board.area)
+    hits = {"h": [0] * a, "v": [0] * b}  # dominoes across each grid line
+    for (axis, line, offset), declared in dominoes:
+        cells = _edge_cells(board, axis, line, offset)
+        if cells is None or (declared is not None and declared != cells
+                             and set(declared) != set(cells)):
+            raise InvalidWitnessError(f"foreign placement {(axis, line, offset)} on board {board}")
+        (r, c), (s, d) = cells
+        coverage[r * b + c] += 1
+        coverage[s * b + d] += 1
+        hits[axis][line] += 1
     crossings = dict.fromkeys(range(_curve_id(board, "v", b)), 0)
-    for plc in tiling.dominoes:
-        axis, line, offset = plc.edge.key()
-        expected = _edge_cells(board, axis, line, offset)
-        if expected is None or set(expected) != set(plc.cells):
-            raise InvalidWitnessError(f"foreign placement {plc} on board {board}")
-        for r, c in expected:
-            coverage[r * b + c] += 1
-        crossings[_curve_id(board, axis, line)] += 1
+    for axis, counts in hits.items():
+        for line, n in enumerate(counts):
+            if n:
+                crossings[_curve_id(board, axis, line)] += n
     uncovered = tuple(divmod(i, b) for i, n in enumerate(coverage) if n == 0)
     doubled = tuple(divmod(i, b) for i, n in enumerate(coverage) if n > 1)
     matching_valid = not uncovered and not doubled
@@ -82,7 +113,7 @@ def verify(board: BoardSpec, tiling: Tiling) -> VerificationReport:
     )
 
 
-def tiling_from_edges(board: BoardSpec, edges: list[tuple[str, int, int]]) -> Tiling:
+def tiling_from_edges(board: BoardSpec, edges: Iterable[EdgeKey]) -> Tiling:
     """Build a tiling from (axis, line, offset) edge keys known to exist on the board."""
     dominoes = []
     for key in edges:
@@ -93,21 +124,23 @@ def tiling_from_edges(board: BoardSpec, edges: list[tuple[str, int, int]]) -> Ti
     return Tiling(board, frozenset(dominoes))
 
 
+# The canonical document is json.dumps(doc, indent=2) + "\n"; these templates
+# write the same bytes directly, one per domino.
+_DOCUMENT = '{\n  "topology": "%s",\n  "a": %d,\n  "b": %d,\n  "dominoes": %s\n}\n'
+_DOMINO = (
+    '    {\n      "edge": [\n        "%s",\n        %d,\n        %d\n      ],\n'
+    '      "cells": [\n        [\n          %d,\n          %d\n        ],\n'
+    '        [\n          %d,\n          %d\n        ]\n      ]\n    }'
+)
+
+
 def encode(tiling: Tiling) -> str:
-    """Serialize to the canonical witness document (UTF-8 JSON text)."""
-    doc = {
-        "topology": tiling.board.topology.value,
-        "a": tiling.board.a,
-        "b": tiling.board.b,
-        "dominoes": [
-            {
-                "edge": [p.edge.axis, p.edge.line, p.edge.offset],
-                "cells": [list(p.cells[0]), list(p.cells[1])],
-            }
-            for p in sorted(tiling.dominoes, key=lambda p: p.edge.key())
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Serialize to the canonical witness document (UTF-8 JSON text), dominoes in edge-key order."""
+    board = tiling.board
+    rows = [_DOMINO % (*_edge_key(p), *p.cells[0], *p.cells[1])
+            for p in sorted(tiling.dominoes, key=_edge_key)]
+    dominoes = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return _DOCUMENT % (board.topology.value, board.a, board.b, dominoes)
 
 
 def decode(text: str) -> Tiling:
@@ -119,7 +152,7 @@ def decode(text: str) -> Tiling:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError; deep nesting recurses
         raise WitnessDecodeError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise WitnessDecodeError("witness document must be a JSON object")

@@ -4,10 +4,11 @@ A tileable board's witness comes from the cache, else from its family's
 chain: the base board's searched witness after n row expansions and then m
 column expansions, trying the shortest chain first.  A family whose base is
 the board itself (1 x 2, say) is a chain of length 0.  Every prefix of a
-chain is memoized, so a board whose chain extends one grown before (a x
-(b-2) in the same family, say) costs one expansion; the chain and so the
-witness bytes are the same as growing from the base each time.  Every
-returned tiling has been re-verified.
+chain is memoized as a board and a set of edge keys, so a board whose chain
+extends one grown before (a x (b-2) in the same family, say) costs one
+expansion; the chain and so the witness bytes are the same as growing from
+the base each time.  Placements are built once, for the returned witness,
+and every returned tiling has been re-verified.
 """
 
 from __future__ import annotations
@@ -19,15 +20,17 @@ from pathlib import Path
 
 from .classify import base_boards, classify, matching_tileable_families
 from .errors import ExpansionFailedError, InvariantError, WitnessDecodeError, WitnessUnavailableError
-from .expansion import COLS, ROWS, _grow
+from .expansion import COLS, ROWS, _grow_keys
 from .search import find_fault_free
-from .tiling import Tiling, decode_for_board, encode, verify, tiling_from_edges
+from .tiling import EdgeKey, Tiling, _edge_keys, decode_for_board, encode, tiling_from_edges, verify
 from .topology import BoardSpec, Topology, build_board
 
 CACHE_ENV = "FAULT_ATLAS_CACHE"
 
 # Chain prefixes kept in memory; an evicted prefix is grown again when needed.
 _CHAIN_MEMO = 128
+
+Grown = tuple[BoardSpec, frozenset[EdgeKey]]  # a fault-free tiling as its board and edge keys
 
 
 class WitnessStore:
@@ -43,8 +46,8 @@ class WitnessStore:
         path = self.path_for(board)
         try:
             tiling = decode_for_board(path.read_text(encoding="utf-8"), board)
-        except FileNotFoundError:
-            return None
+        except OSError:
+            return None  # missing, or unreadable (a directory, say); a miss either way
         except (UnicodeDecodeError, WitnessDecodeError):
             return None  # corrupt entry, or one written for another board; rebuild
         if not verify(board, tiling).fault_free:
@@ -93,21 +96,16 @@ def base_cases(topology: Topology) -> list[BaseCase]:
     return [BaseCase(b, _base_witness(b)) for b in base_boards(topology)]
 
 
-def _transpose(tiling: Tiling) -> Tiling:
+def _transpose(board: BoardSpec, keys: frozenset[EdgeKey]) -> Grown:
     """Swap rows and columns of a torus tiling (tori are swap-symmetric)."""
-    board = tiling.board
     if board.topology is not Topology.TORUS:
         raise InvariantError(f"only a torus tiling can be transposed, not {board}")
     flipped = build_board(Topology.TORUS, board.b, board.a)
-    edges = []
-    for p in tiling.dominoes:
-        axis, line, off = p.edge.key()
-        edges.append(("v" if axis == "h" else "h", line, off))
-    return tiling_from_edges(flipped, edges)
+    return flipped, frozenset(("v" if axis == "h" else "h", line, off) for axis, line, off in keys)
 
 
 @functools.lru_cache(maxsize=_CHAIN_MEMO)
-def _grown(base: BoardSpec, n: int, m: int) -> Tiling | None:
+def _grown(base: BoardSpec, n: int, m: int) -> Grown | None:
     """The base witness after n row and then m column expansions; None if a step fails.
 
     Only _chain calls this, prefix by prefix, so the prefix asked for here is
@@ -115,17 +113,17 @@ def _grown(base: BoardSpec, n: int, m: int) -> Tiling | None:
     a verified earlier output, so it is grown without expand's input check.
     """
     if n == 0 and m == 0:
-        return _base_witness(base)
+        return base, _edge_keys(_base_witness(base))
     prefix = _grown(base, n, m - 1) if m else _grown(base, n - 1, 0)
     if prefix is None:
         return None
     try:
-        return _grow(prefix, COLS if m else ROWS)
+        return _grow_keys(*prefix, COLS if m else ROWS)
     except ExpansionFailedError:
         return None
 
 
-def _chain(base: BoardSpec, n: int, m: int) -> Tiling | None:
+def _chain(base: BoardSpec, n: int, m: int) -> Grown | None:
     """Walk the chain from the base; each prefix not yet memoized costs one expand."""
     steps = [(i, 0) for i in range(n + 1)] + [(n, j) for j in range(1, m + 1)]
     current = None
@@ -145,10 +143,11 @@ def _expansion_chain(board: BoardSpec) -> Tiling | None:
         if current is None:
             continue
         if swapped:
-            current = _transpose(current)
-        if current.board != board:
-            raise InvariantError(f"chain from {fam.base} grew {current.board}, not {board}")
-        return current
+            current = _transpose(*current)
+        grown, keys = current
+        if grown != board:
+            raise InvariantError(f"chain from {fam.base} grew {grown}, not {board}")
+        return tiling_from_edges(board, keys)
     return None
 
 

@@ -325,10 +325,10 @@ def failing_chains(monkeypatch):
     import fault_atlas.witnesses as w
     from fault_atlas import ExpansionFailedError
 
-    def fail(tiling, axis):
-        raise ExpansionFailedError(f"no cut path on {tiling.board}")
+    def fail(board, keys, axis):
+        raise ExpansionFailedError(f"no cut path on {board}")
 
     w._grown.cache_clear()
-    monkeypatch.setattr(w, "_grow", fail)
+    monkeypatch.setattr(w, "_grow_keys", fail)
     yield
     w._grown.cache_clear()

@@ -155,6 +155,23 @@ class TestSolveVerifyRenderExpand:
         code, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("command", [("verify",), ("render",), ("expand", "--axis", "rows")])
+    def test_deeply_nested_witness_exit_2(self, capsys, tmp_path, command):
+        wfile = tmp_path / "deep.json"
+        wfile.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        code, out, err = run(capsys, command[0], str(wfile), *command[1:])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "not valid JSON" in err
+
+    def test_unreadable_cache_entry_is_a_miss_and_unwritable_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("FAULT_ATLAS_CACHE", raising=False)
+        (tmp_path / "cylinder_4x6.json").mkdir()
+        code, out, err = run(capsys, "solve", "--topology", "cylinder", "--a", "4", "--b", "6",
+                             "--witnesses", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("fault-atlas: I/O failure: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cylinder_4x6.json"]
+
 
 class TestCensus:
     @pytest.mark.parametrize("topo", ["rectangle", "cylinder", "torus", "mobius"])

@@ -51,6 +51,21 @@ class TestExpand:
         grown = expand(w, "cols")
         assert len(grown.dominoes) == len(w.dominoes) + w.board.a
 
+    def test_accepted_cut_was_verified(self, monkeypatch):
+        import fault_atlas.expansion as e
+
+        checked = []
+        real = e._verify_keys
+
+        def recording(board, keys):
+            report = real(board, keys)
+            checked.append((board, frozenset(keys), report.fault_free))
+            return report
+
+        monkeypatch.setattr(e, "_verify_keys", recording)
+        grown = expand(_witness("cylinder", 4, 6), "cols")
+        assert checked[-1] == (grown.board, frozenset(p.edge.key() for p in grown.dominoes), True)
+
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             expand(_witness("rectangle", 5, 6), "diagonal")

@@ -11,9 +11,12 @@ import pytest
 
 from fault_atlas import (
     InvalidWitnessError,
+    Placement,
     Tiling,
+    Topology,
     WitnessDecodeError,
     build_board,
+    classify,
     decode,
     decode_for_board,
     encode,
@@ -21,9 +24,27 @@ from fault_atlas import (
     find_fault_free,
     find_tiling,
     verify,
+    witness,
 )
-from fault_atlas.tiling import tiling_from_edges
+from fault_atlas.tiling import _verify_keys, tiling_from_edges
 from conftest import package_env
+
+
+def reference_encode(tiling: Tiling) -> str:
+    """The canonical document as the JSON encoder pretty-prints it; encode() must match it byte for byte."""
+    doc = {
+        "topology": tiling.board.topology.value,
+        "a": tiling.board.a,
+        "b": tiling.board.b,
+        "dominoes": [
+            {
+                "edge": [p.edge.axis, p.edge.line, p.edge.offset],
+                "cells": [list(p.cells[0]), list(p.cells[1])],
+            }
+            for p in sorted(tiling.dominoes, key=lambda p: p.edge.key())
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 class TestVerify:
@@ -52,6 +73,27 @@ class TestVerify:
         with pytest.raises(InvalidWitnessError):
             verify(other, witness_5x6)
 
+    def test_placement_cells_checked_against_edge(self):
+        board = build_board("rectangle", 2, 2)
+        good = tiling_from_edges(board, [("v", 1, 0), ("v", 1, 1)])
+        plc = next(p for p in good.dominoes if p.edge.offset == 0)
+        reversed_cells = Tiling(board, good.dominoes - {plc} | {Placement(plc.edge, plc.cells[::-1])})
+        assert verify(board, reversed_cells).fault_free == verify(board, good).fault_free
+        wrong_cells = Tiling(board, good.dominoes - {plc} | {Placement(plc.edge, ((0, 0), (1, 0)))})
+        with pytest.raises(InvalidWitnessError):
+            verify(board, wrong_cells)
+
+    def test_edge_key_core_reports_as_verify(self):
+        for topo, a, b in [("rectangle", 5, 6), ("cylinder", 4, 6), ("torus", 4, 4),
+                           ("mobius", 4, 3), ("mobius", 5, 4)]:
+            board = build_board(topo, a, b)
+            for tiling in (find_fault_free(board).witness, find_tiling(board).witness):
+                keys = [p.edge.key() for p in tiling.dominoes]
+                assert _verify_keys(board, keys) == verify(board, tiling)
+                assert _verify_keys(board, keys[1:]) == verify(board, tiling_from_edges(board, keys[1:]))
+        with pytest.raises(InvalidWitnessError):
+            _verify_keys(build_board("rectangle", 2, 2), [("v", 2, 0)])
+
     def test_incomplete_tiling_reports_uncovered(self):
         board = build_board("rectangle", 2, 2)
         tiling = tiling_from_edges(board, [("v", 1, 0)])
@@ -67,6 +109,37 @@ class TestVerify:
             w = find_fault_free(board).witness
             report = verify(board, w)
             assert sum(report.curve_crossings.values()) == board.capacity
+
+
+class TestEncoderMatchesReference:
+    def test_every_witness_up_to_8(self):
+        checked = 0
+        for topo in Topology:
+            for a in range(1, 9):
+                for b in range(1, 9):
+                    board = build_board(topo, a, b)
+                    if classify(board).tileable:
+                        tiling = witness(board)
+                        assert encode(tiling) == reference_encode(tiling), board
+                        checked += 1
+        assert checked > 40
+
+    def test_zero_dominoes(self):
+        tiling = decode('{"topology":"rectangle","a":1,"b":2,"dominoes":[]}')
+        assert not tiling.dominoes
+        assert encode(tiling) == reference_encode(tiling)
+        assert '"dominoes": []' in encode(tiling)
+
+    def test_torus_row_edge_domino(self):
+        tiling = tiling_from_edges(build_board("torus", 4, 4), [("h", 0, 1)])
+        assert next(iter(tiling.dominoes)).cells == ((3, 1), (0, 1))
+        assert encode(tiling) == reference_encode(tiling)
+
+    def test_one_wide_mobius_seam_domino(self):
+        tiling = tiling_from_edges(build_board("mobius", 4, 1), [("v", 0, 0), ("v", 0, 1)])
+        assert {p.cells for p in tiling.dominoes} == {((0, 0), (3, 0)), ((1, 0), (2, 0))}
+        assert encode(tiling) == reference_encode(tiling)
+        assert decode(encode(tiling)) == tiling
 
 
 class TestWitnessFormat:
@@ -105,6 +178,10 @@ class TestWitnessFormat:
     def test_syntax_error(self):
         with pytest.raises(WitnessDecodeError):
             decode("{not json")
+
+    def test_deep_nesting_is_not_valid_json(self):
+        with pytest.raises(WitnessDecodeError, match="not valid JSON"):
+            decode("[" * 200_000 + "]" * 200_000)
 
     def test_unknown_edge(self):
         doc = {"topology": "rectangle", "a": 2, "b": 2,

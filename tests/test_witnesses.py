@@ -10,6 +10,7 @@ import pytest
 
 from fault_atlas import (
     ExpansionFailedError,
+    InvariantError,
     Topology,
     WitnessStore,
     WitnessUnavailableError,
@@ -134,6 +135,23 @@ class TestStore:
         rebuilt = witness(board, store=store)
         assert store.load(board) == rebuilt
 
+    def test_deeply_nested_entry_is_rebuilt(self, tmp_path):
+        store = WitnessStore(tmp_path)
+        board = build_board("cylinder", 4, 6)
+        path = store.path_for(board)
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        assert store.load(board) is None
+        rebuilt = witness(board, store=store)
+        assert path.read_text(encoding="utf-8") == encode(rebuilt)
+
+    def test_unreadable_entry_is_a_miss(self, tmp_path):
+        store = WitnessStore(tmp_path)
+        board = build_board("cylinder", 4, 6)
+        store.path_for(board).mkdir()
+        assert store.load(board) is None
+        with pytest.raises(OSError):
+            witness(board, store=store)
+
     def test_save_leaves_only_the_entry(self, tmp_path):
         store = WitnessStore(tmp_path / "cache")
         board = build_board("torus", 4, 4)
@@ -191,6 +209,54 @@ class TestChainMemo:
         _grown.cache_clear()
         for board in sorted(plain, key=lambda bd: (-bd.area, -bd.a)):
             assert encode(witness(board)) == plain[board], board
+
+
+class TestChainOnEdgeKeys:
+    @pytest.mark.parametrize("topo,a,b", [("cylinder", 4, 40), ("torus", 6, 12)])
+    def test_placements_are_built_once(self, monkeypatch, topo, a, b):
+        import fault_atlas.expansion
+        import fault_atlas.witnesses as w
+
+        board = build_board(topo, a, b)
+        built = []
+        real = w.tiling_from_edges
+
+        def recording(on, edges):
+            built.append(on)
+            return real(on, edges)
+
+        for module in (w, fault_atlas.expansion):
+            monkeypatch.setattr(module, "tiling_from_edges", recording)
+        _grown.cache_clear()
+        tiling = witness(board)
+        assert built == [board]
+        assert verify(board, tiling).fault_free
+        # Walk the chain that grew it again: every prefix is a memo hit holding edge keys.
+        fam, n, m = min(matching_tileable_families(board), key=lambda t: (t[1] + t[2], t[0].id))
+        base = build_board(topo, *fam.base)
+        misses = _grown.cache_info().misses
+        steps = [(i, 0) for i in range(n + 1)] + [(n, j) for j in range(1, m + 1)]
+        for i, j in steps:
+            grown_board, keys = _grown(base, i, j)
+            assert (grown_board.a, grown_board.b) == (fam.base[0] + 2 * i, fam.base[1] + 2 * j)
+            assert isinstance(keys, frozenset) and all(type(k) is tuple and len(k) == 3 for k in keys)
+        assert _grown.cache_info().misses == misses
+        assert len(steps) > 1
+
+    def test_witness_reverifies_the_chain_result(self, monkeypatch):
+        import fault_atlas.witnesses as w
+
+        def no_band(board, keys, axis):  # grows the board, lays no band: the result cannot verify
+            a, b = (board.a + 2, board.b) if axis == "rows" else (board.a, board.b + 2)
+            return build_board(board.topology, a, b), keys
+
+        _grown.cache_clear()
+        monkeypatch.setattr(w, "_grow_keys", no_band)
+        try:
+            with pytest.raises(InvariantError, match="fails verification"):
+                witness(build_board("cylinder", 6, 6))
+        finally:
+            _grown.cache_clear()
 
 
 def test_invariant_holds_under_optimize():
