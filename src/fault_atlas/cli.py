@@ -1,7 +1,9 @@
 """Command-line surface: classify, solve, verify, expand, bound, census, render.
 
 Exit codes are a stable scripting contract: 0 success, 1 usage error,
-2 invalid input or I/O failure, 3 witness verification failure.
+2 invalid input or I/O failure, 3 witness verification failure.  A board
+whose area exceeds MAX_AREA is invalid input for every command but plain
+classify, which is closed-form.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ EXIT_INVALID = 2
 EXIT_VERIFY = 3
 
 MAX_CENSUS = 64
+# Boards up to 512x512: work and memory per command grow with the area.
+MAX_AREA = 1 << 18
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,6 +55,13 @@ def _board(args: argparse.Namespace):
     return build_board(args.topology, args.a, args.b)
 
 
+def _within_ceiling(board):
+    if board.area > MAX_AREA:
+        raise _CliError(EXIT_INVALID,
+                        f"{board} has area {board.area}, above the ceiling of {MAX_AREA} cells")
+    return board
+
+
 def _write_out(text: str, out: "str | None") -> None:
     if out is None:
         sys.stdout.write(text)
@@ -67,9 +78,11 @@ def _read_witness(path: str):
     except OSError as exc:
         raise _CliError(EXIT_INVALID, f"cannot read {path}: {exc}") from exc
     try:
-        return decode(text)
+        tiling = decode(text)
     except WitnessDecodeError as exc:
         raise _CliError(EXIT_INVALID, f"malformed witness {path}: {exc}") from exc
+    _within_ceiling(tiling.board)
+    return tiling
 
 
 def _bound_text(board) -> str:
@@ -90,7 +103,7 @@ def _bound_text(board) -> str:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    board = _board(args)
+    board = _within_ceiling(_board(args)) if args.explain else _board(args)
     v = classify(board)
     state = "fault-free tileable" if v.tileable else "not fault-free tileable"
     print(f"{board}: {state} [family {v.family_id}]")
@@ -100,13 +113,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    board = _board(args)
+    board = _within_ceiling(_board(args))
     sys.stdout.write(_bound_text(board))
     return EXIT_OK
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    board = _board(args)
+    board = _within_ceiling(_board(args))
     v = classify(board)
     if not v.tileable:
         print(f"{board}: not fault-free tileable [family {v.family_id}]")

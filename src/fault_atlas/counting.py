@@ -13,10 +13,11 @@ forces s to be even.
 A parity class is one solution of the GF(2) equations; the totals it admits
 run from a minimum to a maximum in steps of 2.  counting_feasible counts the
 classes per (min, max) range in one dynamic-programming pass over the
-variables, rows first, then columns.  The state is the residual of every
-equation still open and, per coverage group still open, whether one of its
-variables is odd; an equation is checked against its rhs at its last
-variable, a group adds 2 to the minimum or rules the class out at its last.
+variables in the order they are numbered: rows first, then the seam and the
+columns.  The state is the residual of every equation still open and, per
+coverage group still open, whether one of its variables is odd; an equation
+is checked against its rhs at its last variable, a group adds 2 to the
+minimum or rules the class out at its last.
 On a Moebius strip each wrap pair comes next to the two lines it joins, so
 the state stays a few bits wide however tall the strip.
 
@@ -31,7 +32,7 @@ import functools
 from dataclasses import dataclass
 
 from .tiling import Tiling
-from .topology import BoardSpec, Topology, _curve_id
+from .topology import BoardSpec, Topology, _curve_id, _fold_lines
 
 STATUS_OK = "ok"
 STATUS_ODD_AREA = "odd-area"
@@ -54,7 +55,12 @@ class Variable:
 
 @dataclass(frozen=True)
 class ParitySystem:
-    """GF(2) equations, coverage groups, and caps over a board's profile."""
+    """GF(2) equations, coverage groups, and caps over a board's profile.
+
+    The variables come in sweep order: rows, then the seam, then the columns;
+    on a Moebius strip each wrap pair {j, a-1-j} comes just before lines j+1
+    and a-1-j.  Bit i of an equation's mask is variable i.
+    """
 
     board: BoardSpec
     variables: tuple[Variable, ...]
@@ -76,16 +82,9 @@ class ParitySystem:
         for i, var in enumerate(self.variables):
             if not 0 <= vec[i] <= var.cap:
                 out.append(f"{var.name} = {vec[i]} outside [0, {var.cap}]")
+        odd = sum((val & 1) << i for i, val in enumerate(vec))
         for mask, rhs in self.equations:
-            acc = 0
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    acc ^= vec[i] & 1
-                m >>= 1
-                i += 1
-            if acc != rhs:
+            if (mask & odd).bit_count() & 1 != rhs:
                 out.append(f"parity equation violated (mask {mask:#x}, rhs {rhs})")
         for group in self.coverage_groups:
             if sum(vec[i] for i in group) < 1:
@@ -131,105 +130,61 @@ class FeasibilityReport:
     status: str = STATUS_OK
 
 
-def _mobius_pairs(a: int) -> list[frozenset]:
-    pairs = []
-    for r in range(a):
-        r2 = a - 1 - r
-        if r <= r2:
-            pairs.append(frozenset({r, r2}))
-    return pairs
-
-
 def build_parity_system(board: BoardSpec) -> ParitySystem:
     """Emit the GF(2) row/column/color equations with coverage and caps."""
     a, b, topo = board.a, board.b, board.topology
     variables: list[Variable] = []
     index: dict[tuple[str, object], int] = {}
 
-    def add(kind: str, key: object, cap: int) -> int:
-        index[(kind, key)] = len(variables)
-        variables.append(Variable(kind, key, cap))
-        return len(variables) - 1
+    def add(kind: str, key: object, cap: int) -> None:
+        if (kind, key) not in index:
+            index[kind, key] = len(variables)
+            variables.append(Variable(kind, key, cap))
 
-    h_lines = range(a) if topo is Topology.TORUS else range(1, a)
-    for line in h_lines:
-        cap = 0 if (topo is Topology.TORUS and a == 1) else b
-        add("x", line, cap)
-    for line in range(1, b):
-        add("y", line, a)
+    def bit(kind: str, key: object) -> int:
+        """The variable's mask bit; 0 for a boundary line, which has no variable."""
+        return 1 << index[kind, key] if (kind, key) in index else 0
+
+    h_lines = _fold_lines(board, "h")
+    if topo is Topology.MOBIUS:
+        for j in range((a + 1) // 2):
+            pair = frozenset({j, a - 1 - j})
+            add("u", pair, len(pair) if b >= 2 else len(pair) - 1)
+            for line in (j + 1, a - 1 - j):
+                if line in h_lines:
+                    add("x", line, b)
+    else:
+        for line in h_lines:
+            add("x", line, 0 if a == 1 else b)  # cap 0: line 0 of a 1-high torus cannot be crossed
     if topo in (Topology.CYLINDER, Topology.TORUS):
         add("s", None, a if b >= 2 else 0)
-    u_vars: list[int] = []
-    if topo is Topology.MOBIUS:
-        for pair in _mobius_pairs(a):
-            if len(pair) == 2:
-                cap = 2 if b >= 2 else 1
-            else:
-                cap = 1 if b >= 2 else 0
-            u_vars.append(add("u", pair, cap))
+    for line in range(1, b):
+        add("y", line, a)
+    seam_vars = [i for i, v in enumerate(variables) if v.kind in ("s", "u")]  # none on a rectangle
+    seam = sum(1 << i for i in seam_vars)  # on a Moebius strip, the wrap pairs together
 
     equations: list[tuple[int, int]] = []
-
-    def x_bit(line: int) -> int:
-        if topo is Topology.TORUS:
-            return 1 << index[("x", line % a)]
-        if 1 <= line <= a - 1:
-            return 1 << index[("x", line)]
-        return 0  # board boundary: no line, forced zero
-
     for r in range(a):
-        mask = x_bit(r) ^ x_bit(r + 1)
+        # line a is line 0, which has a variable only on a torus
+        mask = bit("x", r) ^ bit("x", (r + 1) % a)
         if topo is Topology.MOBIUS and r != a - 1 - r:
-            mask ^= 1 << index[("u", frozenset({r, a - 1 - r}))]
+            mask ^= bit("u", frozenset({r, a - 1 - r}))
         equations.append((mask, b & 1))
-
-    def col_side(line: int) -> int:
-        if 1 <= line <= b - 1:
-            return 1 << index[("y", line)]
-        if topo is Topology.RECTANGLE:
-            return 0
-        if topo is Topology.MOBIUS:
-            mask = 0
-            for i in u_vars:
-                mask ^= 1 << i
-            return mask
-        return 1 << index[("s", None)]
-
     for c in range(b):
-        # b == 1 cancels naturally: both sides of the column are the seam,
-        # so every wrap tile contributes two cells and the terms XOR away.
-        equations.append((col_side(c) ^ col_side(c + 1), a & 1))
-
+        # Line b is the seam, line 0, which has no y variable.  b == 1 cancels
+        # naturally: both sides of the column are the seam, so every wrap
+        # tile contributes two cells and the terms XOR away.
+        equations.append(((bit("y", c) or seam) ^ (bit("y", (c + 1) % b) or seam), a & 1))
     if topo is Topology.MOBIUS and a % 2 == 0 and b % 2 == 0:
-        mask = 0
-        for i in u_vars:
-            mask ^= 1 << i
-        equations.append((mask, 0))
+        equations.append((seam, 0))
 
     curve_vars: dict[int, list[int]] = {}
-    for line in h_lines:
-        curve_vars.setdefault(_curve_id(board, "h", line), []).append(index[("x", line)])
-    for line in range(0 if topo.wraps_cols else 1, b):
-        if line:
-            members = [index[("y", line)]]
-        else:
-            members = u_vars if topo is Topology.MOBIUS else [index[("s", None)]]
-        curve_vars.setdefault(_curve_id(board, "v", line), []).extend(members)
+    for axis, kind in (("h", "x"), ("v", "y")):
+        for line in _fold_lines(board, axis):
+            members = [index[kind, line]] if (kind, line) in index else seam_vars
+            curve_vars.setdefault(_curve_id(board, axis, line), []).extend(members)
     groups = tuple(tuple(curve_vars[cid]) for cid in sorted(curve_vars))
     return ParitySystem(board, tuple(variables), tuple(equations), groups)
-
-
-def _sweep_order(system: ParitySystem) -> list[int]:
-    """Variable indices, rows then columns; a Moebius wrap pair {j, a-1-j} before lines j+1 and a-1-j."""
-    index = system.var_index()
-    a, b = system.board.a, system.board.b
-    if system.board.topology is Topology.MOBIUS:
-        rows = [key for j in range((a + 1) // 2)
-                for key in (("u", frozenset({j, a - 1 - j})), ("x", j + 1), ("x", a - 1 - j))]
-    else:
-        rows = [("x", line) for line in range(a)]
-    cols = [("s", None)] + [("y", line) for line in range(1, b)]
-    return list(dict.fromkeys(index[key] for key in rows + cols if key in index))
 
 
 def _range_counts(system: ParitySystem) -> dict[tuple[int, int] | None, int]:
@@ -240,30 +195,29 @@ def _range_counts(system: ParitySystem) -> dict[tuple[int, int] | None, int]:
     its cap, or when a group has no odd variable and no cap of 2 or more to
     cross it twice; a group with no odd variable otherwise adds 2 to the minimum.
     """
-    order = _sweep_order(system)
-    at = {i: k for k, i in enumerate(order)}
-    n = len(system.equations)
-    flips = [0] * len(order)  # equation bits an odd parity at step k toggles
-    marks = [0] * len(order)  # group bits it sets
-    closing = [[0, 0, []] for _ in order]  # equation bits, their rhs bits, (group bit, fixable)
+    m, n = len(system.variables), len(system.equations)  # step k decides the parity of variable k
+    flips = [0] * m  # equation bits an odd parity at step k toggles
+    marks = [0] * m  # group bits it sets
+    closing = [[0, 0, []] for _ in range(m)]  # equation bits, their rhs bits, (group bit, fixable)
     for j, (mask, rhs) in enumerate(system.equations):
-        steps = [at[i] for i in range(len(system.variables)) if mask >> i & 1]
-        if not steps:
+        if not mask:
             if rhs:
                 return {}
             continue
-        for k in steps:
-            flips[k] |= 1 << j
-        closing[max(steps)][0] |= 1 << j
-        closing[max(steps)][1] |= rhs << j
+        last = mask.bit_length() - 1
+        for k in range(last + 1):
+            if mask >> k & 1:
+                flips[k] |= 1 << j
+        closing[last][0] |= 1 << j
+        closing[last][1] |= rhs << j
     for g, group in enumerate(system.coverage_groups):
         for i in group:
-            marks[at[i]] |= 1 << (n + g)
+            marks[i] |= 1 << (n + g)
         fixable = any(system.variables[i].cap >= 2 for i in group)
-        closing[max(at[i] for i in group)][2].append((1 << (n + g), fixable))
+        closing[max(group)][2].append((1 << (n + g), fixable))
     layer: dict[tuple[int, tuple[int, int] | None], int] = {(0, (0, 0)): 1}
-    for k, i in enumerate(order):
-        cap = system.variables[i].cap
+    for k, var in enumerate(system.variables):
+        cap = var.cap
         eq_bits, eq_rhs, groups = closing[k]
         nxt: dict[tuple[int, tuple[int, int] | None], int] = {}
         for (state, rng), count in layer.items():
@@ -309,18 +263,10 @@ def min_required_tiles(board: BoardSpec) -> int | None:
 
 def profile_of(board: BoardSpec, tiling: Tiling) -> CrossingProfile:
     """Crossing counts per line / seam / wrap pair for a tiling."""
-    x: dict[int, int] = {}
-    y: dict[int, int] = {}
-    u: dict[frozenset, int] = {}
     a, topo = board.a, board.topology
-    h_lines = range(a) if topo is Topology.TORUS else range(1, a)
-    for line in h_lines:
-        x[line] = 0
-    for line in range(1, board.b):
-        y[line] = 0
-    if topo is Topology.MOBIUS:
-        for pair in _mobius_pairs(a):
-            u[pair] = 0
+    x = dict.fromkeys(_fold_lines(board, "h"), 0)
+    y = dict.fromkeys(range(1, board.b), 0)
+    u = {frozenset({r, a - 1 - r}): 0 for r in range(a)} if topo is Topology.MOBIUS else {}
     s = 0
     for plc in tiling.dominoes:
         edge = plc.edge

@@ -19,7 +19,6 @@ then by line, offset and edge id, which makes node counts reproducible.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import InvariantError, OracleRangeError
@@ -75,11 +74,6 @@ class _Geometry:
         self.full = (1 << board.area) - 1
 
 
-@functools.lru_cache(maxsize=256)
-def _geometry(board: BoardSpec) -> _Geometry:
-    return _Geometry(board)
-
-
 class _Searcher:
     def __init__(self, board: BoardSpec, *, fault_free: bool, prune: bool, count_all: bool) -> None:
         self.board = board
@@ -95,7 +89,7 @@ class _Searcher:
         """Traverse the whole (pruned) space; True when a tiling was found."""
         if self.board.area % 2:
             return False
-        geo = self.geo = _geometry(self.board)
+        geo = self.geo = _Geometry(self.board)
         if self.prune and not all(geo.pairs):
             return False
         self.all_crossed = (1 << len(geo.pairs)) - 1

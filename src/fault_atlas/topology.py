@@ -210,6 +210,16 @@ def _curve_id(board: BoardSpec, axis: str, line: int) -> int:
     return a + line if topo is _TORUS else a - 1 + line
 
 
+def _fold_lines(board: BoardSpec, axis: str) -> range:
+    """The grid lines of the axis ("h" or "v") that fault curves run along.
+
+    The internal lines always; line 0 too where the board is glued across it
+    (the row edge of a torus, the seam of every wrapped topology).
+    """
+    glued = board.topology is _TORUS if axis == "h" else board.topology is not _RECTANGLE
+    return range(0 if glued else 1, board.a if axis == "h" else board.b)
+
+
 # Board tables are kept for the most recent boards only; an evicted table is rebuilt.
 _TABLE_MEMO = 128
 
@@ -234,13 +244,10 @@ def placements(board: BoardSpec) -> tuple[Placement, ...]:
 @functools.lru_cache(maxsize=_TABLE_MEMO)
 def fault_curves(board: BoardSpec) -> tuple[FaultCurve, ...]:
     """All fold loci with their crossing-edge sets (possibly empty)."""
-    topo = board.topology
-    h_lines = range(board.a) if topo is Topology.TORUS else range(1, board.a)
-    v_lines = range(board.b) if topo.wraps_cols else range(1, board.b)
     curves: dict[int, tuple[str, set[int], list[CrossingEdge]]] = {}
     line_curve: dict[tuple[str, int], int] = {}
-    for axis, name, lines in (("h", "horizontal", h_lines), ("v", "vertical", v_lines)):
-        for line in lines:
+    for axis, name in (("h", "horizontal"), ("v", "vertical")):
+        for line in _fold_lines(board, axis):
             cid = line_curve[axis, line] = _curve_id(board, axis, line)
             curves.setdefault(cid, (name, set(), []))[1].add(line)
     for axis, line, offset, _cells in _edges(board):

@@ -255,6 +255,23 @@ def parity_classes(system: ParitySystem) -> Iterator[tuple[int, ...]]:
         yield tuple((vec >> i) & 1 for i in range(n))
 
 
+def sweep_order(system: ParitySystem) -> list[tuple[str, object]]:
+    """The counting pass's variable order, (kind, key) each: rows, then the seam and the columns.
+
+    On a Moebius strip each wrap pair {j, a-1-j} comes just before lines j+1
+    and a-1-j, which keeps the pass a few state bits wide.
+    """
+    index = system.var_index()
+    a, b = system.board.a, system.board.b
+    if system.board.topology is Topology.MOBIUS:
+        rows = [key for j in range((a + 1) // 2)
+                for key in (("u", frozenset({j, a - 1 - j})), ("x", j + 1), ("x", a - 1 - j))]
+    else:
+        rows = [("x", line) for line in range(a)]
+    cols = [("s", None)] + [("y", line) for line in range(1, b)]
+    return list(dict.fromkeys(key for key in rows + cols if key in index))
+
+
 def _class_stats(system: ParitySystem, parities: tuple[int, ...]) -> tuple[int, int] | None:
     """(min total, max total) for one parity class, or None if inadmissible."""
     vmin = []

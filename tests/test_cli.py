@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from fault_atlas.cli import main
+from fault_atlas.cli import MAX_AREA, main
+from conftest import package_env
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -171,6 +175,52 @@ class TestSolveVerifyRenderExpand:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("fault-atlas: I/O failure: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cylinder_4x6.json"]
+
+
+HUGE_WITNESS = '{"topology":"rectangle","a":1000000000,"b":1000000000,"dominoes":[]}'
+
+
+def run_capped(*argv):
+    """main(argv) in a child interpreter capped at 1 GiB of address space, so a
+    command that allocates per cell fails there instead of exhausting the machine."""
+    script = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from fault_atlas.cli import main
+        sys.exit(main(sys.argv[1:]))
+    """)
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env=package_env(), timeout=30)
+
+
+class TestAreaCeiling:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "WITNESS"),
+        ("render", "WITNESS"),
+        ("expand", "WITNESS", "--axis", "rows"),
+        ("bound", "--topology", "rectangle", "--a", "100000", "--b", "100000"),
+        ("classify", "--topology", "torus", "--a", "1000000000", "--b", "1000000000", "--explain"),
+        ("bound", "--topology", "mobius", "--a", "1000", "--b", "1001"),
+        ("solve", "--topology", "cylinder", "--a", "4", "--b", "100000"),
+    ])
+    def test_hostile_size_exit_2(self, tmp_path, argv):
+        wfile = tmp_path / "huge.json"
+        wfile.write_text(HUGE_WITNESS, encoding="utf-8")
+        done = run_capped(*(str(wfile) if arg == "WITNESS" else arg for arg in argv))
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.count("\n") == 1 and f"above the ceiling of {MAX_AREA}" in done.stderr
+
+    def test_plain_classify_takes_any_size(self, capsys):
+        code, out, _ = run(capsys, "classify", "--topology", "torus",
+                           "--a", "1000000000", "--b", "1000000000")
+        assert code == 0
+        assert out == "torus 1000000000'x1000000000': fault-free tileable [family (4+2n)' x (4+2m)']\n"
+
+    def test_ceiling_is_inclusive(self, capsys):
+        code, out, _ = run(capsys, "bound", "--topology", "rectangle", "--a", "512", "--b", "512")
+        assert code == 0 and out.startswith("min required ")
+        code, out, err = run(capsys, "bound", "--topology", "rectangle", "--a", "512", "--b", "513")
+        assert code == 2 and out == "" and err.count("\n") == 1
 
 
 class TestCensus:

@@ -25,6 +25,7 @@ from conftest import (
     enumerated_report,
     measure_profile,
     parity_classes,
+    sweep_order,
 )
 
 
@@ -193,6 +194,12 @@ class TestParitySystem:
                 else:
                     expected.append(tuple(idx[("y", line)] for line in sorted(curve.lines)))
             assert system.coverage_groups == tuple(expected), board
+
+    def test_variables_come_in_sweep_order(self):
+        # the pass visits variables in index order, so this order sets its state width
+        for board in boards_upto(12):
+            system = build_parity_system(board)
+            assert [(v.kind, v.key) for v in system.variables] == sweep_order(system), board
 
     def test_one_pass_equals_class_enumeration(self):
         # every even-area board with sides <= 20 on all four topologies: 1,200 boards

@@ -19,7 +19,8 @@ from fault_atlas import (
     placements,
     verify,
 )
-from fault_atlas.search import _geometry
+from fault_atlas import search
+from fault_atlas.search import _Geometry
 from conftest import boards_upto, enumerate_fault_free, enumerate_matchings, package_env
 
 
@@ -133,7 +134,7 @@ def test_witness_check_holds_under_optimize():
 
 def test_geometry_caps_match_fault_curves():
     for board in boards_upto(10):
-        pairs = _geometry(board).pairs
+        pairs = _Geometry(board).pairs
         assert [len(p) for p in pairs] == [c.cap for c in fault_curves(board)], board
         for curve in fault_curves(board):  # cell (r, c) is bit c*a + r of the column-major sweep
             cells = [p.cells for p in placements(board) if p.edge in curve.crossing_edges]
@@ -141,13 +142,21 @@ def test_geometry_caps_match_fault_curves():
             assert sorted(pairs[curve.id]) == sorted(masks), (board, curve.id)
 
 
-def test_search_builds_no_board_table():
+def test_search_builds_no_board_table(monkeypatch):
+    built = []
+
+    class Counted(_Geometry):
+        def __init__(self, board):
+            built.append(board)
+            super().__init__(board)
+
+    monkeypatch.setattr(search, "_Geometry", Counted)
     odd = build_board("torus", 5, 7)
-    _geometry.cache_clear()
     assert find_tiling(odd).nodes == find_fault_free(odd).nodes == count_tilings(odd) == 0
-    assert _geometry.cache_info().misses == 0
+    assert built == []
     tables = (placements.cache_info(), fault_curves.cache_info())
     for board in (build_board("mobius", 5, 4), build_board("cylinder", 4, 6)):
         assert find_tiling(board).status == find_fault_free(board).status == "found"
         assert count_tilings(board) > 0
     assert (placements.cache_info(), fault_curves.cache_info()) == tables
+    assert len(built) == 6  # one geometry per search, none kept
