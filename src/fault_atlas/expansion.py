@@ -9,6 +9,13 @@ fault-free on the enlarged board, so the search never has to trust the
 construction argument.  The search reads and writes edge keys (axis, line,
 offset) only; `expand` turns them into placements once, at the end.
 
+One accepted path serves any number of bands: growing by k double rows or
+columns shifts the far side by 2k and lays k parallel bands along the same
+path, band j across line pos + 1 + 2j.  The bands are translates of one
+another, so k bands at one cut are the tiling that k single expansions
+build, and a chain costs one search per axis.  The search checks its leaf
+with one band; the caller re-verifies the k-band result.
+
 Row and column insertion are one search along two axes.  A row-insertion
 path takes one step per column, each at a height 0..a; a column-insertion
 path takes one step per row, each at an offset 0..b.  The topology decides
@@ -56,13 +63,16 @@ class _Cut:
         if axis == ROWS:  # one step per column, crossing horizontal lines
             self.along, self.cross, self.steps, self.limit = "h", "v", b, a
             self.ends, self.closure = row_edge, seam
-            self.new_board = build_board(topo, a + 2, b)
         else:  # one step per row, crossing vertical lines
             self.along, self.cross, self.steps, self.limit = "v", "h", a, b
             self.ends, self.closure = seam, row_edge
-            self.new_board = build_board(topo, a, b + 2)
+        self.new_board = self.grown_board(1)
         self.leaves = 0
         self.nodes = 0
+
+    def grown_board(self, k: int) -> BoardSpec:
+        da, db = (2 * k, 0) if self.axis == ROWS else (0, 2 * k)
+        return build_board(self.board.topology, self.board.a + da, self.board.b + db)
 
     # -- blocking predicates -------------------------------------------------
 
@@ -95,16 +105,16 @@ class _Cut:
 
     # -- search --------------------------------------------------------------
 
-    def search(self) -> tuple[BoardSpec, frozenset[EdgeKey]]:
-        path: list[int] = []
-        result = self._dfs(path)
-        if result is None:
+    def search(self) -> list[int]:
+        """The first cut path whose one-band rebuild verifies fault-free."""
+        path = self._dfs([])
+        if path is None:
             raise ExpansionFailedError(
                 f"no verifying cut path for {self.board} axis={self.axis}"
             )
-        return self.new_board, result
+        return path
 
-    def _dfs(self, path: list[int]) -> frozenset[EdgeKey] | None:
+    def _dfs(self, path: list[int]) -> list[int] | None:
         i = len(path)
         if i == self.steps:
             if not self._closure_ok(path[0], path[-1]):
@@ -112,9 +122,8 @@ class _Cut:
             self.leaves += 1
             if self.leaves > _MAX_LEAVES:
                 raise ExpansionFailedError(f"cut search leaf budget exhausted on {self.board}")
-            candidate = self._rebuild(path)
-            if _verify_keys(self.new_board, candidate).fault_free:
-                return frozenset(candidate)
+            if _verify_keys(self.new_board, self._rebuild(path, 1)).fault_free:
+                return list(path)
             return None
         order = _candidate_order(self.limit, path[-1] if path else self.limit // 2, not path)
         for pos in order:
@@ -134,38 +143,42 @@ class _Cut:
 
     # -- rebuilding ----------------------------------------------------------
 
-    def _rebuild(self, path: list[int]) -> list[EdgeKey]:
-        """Shift every domino beyond the cut by two and fill the band, one domino per step.
+    def _rebuild(self, path: list[int], k: int) -> list[EdgeKey]:
+        """Shift every domino beyond the cut by 2k and fill k bands, one domino per step each.
 
         A domino across line `line` of the crossed kind lies beyond the cut
         when its offset is at or past path[line - 1]; the run from there to
         path[line] is unblocked, so either step gives the same side, and
         path[-1] serves the glued line 0.
         """
+        shift = 2 * k
         new_edges: list[EdgeKey] = []
         for axis, line, off in self.placed:
             if axis == self.along:
                 if line and line >= path[off]:
-                    line += 2
+                    line += shift
             elif off >= path[line - 1]:
-                off += 2
+                off += shift
             new_edges.append((axis, line, off))
-        new_edges.extend((self.along, pos + 1, i) for i, pos in enumerate(path))
+        new_edges.extend((self.along, pos + 1 + 2 * j, i)
+                         for j in range(k) for i, pos in enumerate(path))
         return new_edges
 
 
 def _grow_keys(board: BoardSpec, keys: frozenset[EdgeKey],
-               axis: str) -> tuple[BoardSpec, frozenset[EdgeKey]]:
-    """The cut search alone: `keys` must verify fault-free on `board` and `axis` be ROWS or COLS.
+               axis: str, k: int) -> tuple[BoardSpec, frozenset[EdgeKey]]:
+    """One cut search and k bands along its path: `keys` must verify fault-free on `board`,
+    `axis` be ROWS or COLS and k >= 1.
 
-    Returns the grown board and its tiling's edge keys.
+    Returns the board grown by 2k rows or columns and its tiling's edge keys.
     """
-    return _Cut(board, keys, axis).search()
+    cut = _Cut(board, keys, axis)
+    return cut.grown_board(k), frozenset(cut._rebuild(cut.search(), k))
 
 
 def _grow(tiling: Tiling, axis: str) -> Tiling:
     """The cut search on a tiling that verifies fault-free; placements are built once, for the result."""
-    return tiling_from_edges(*_grow_keys(tiling.board, _edge_keys(tiling), axis))
+    return tiling_from_edges(*_grow_keys(tiling.board, _edge_keys(tiling), axis, 1))
 
 
 def expand(tiling: Tiling, axis: str) -> Tiling:

@@ -191,7 +191,7 @@ def decode(text: str) -> Tiling:
             raise WitnessDecodeError(f"malformed cells in {entry!r}: {exc}") from exc
         if declared_cells != set(expected):
             raise WitnessDecodeError(
-                f"cells {sorted(declared_cells)} disagree with edge {key} -> {sorted(expected)}"
+                f"cells {cells!r} disagree with edge {key} -> {sorted(expected)}"
             )
         dominoes.append(Placement(CrossingEdge(axis, line, offset), expected))
     return Tiling(board, frozenset(dominoes))

@@ -1,14 +1,12 @@
-"""Witness construction: base cases, memoized expansion chains, file cache.
+"""Witness construction: base cases, expansion chains, file cache.
 
 A tileable board's witness comes from the cache, else from its family's
-chain: the base board's searched witness after n row expansions and then m
-column expansions, trying the shortest chain first.  A family whose base is
-the board itself (1 x 2, say) is a chain of length 0.  Every prefix of a
-chain is memoized as a board and a set of edge keys, so a board whose chain
-extends one grown before (a x (b-2) in the same family, say) costs one
-expansion; the chain and so the witness bytes are the same as growing from
-the base each time.  Placements are built once, for the returned witness,
-and every returned tiling has been re-verified.
+chain: the base board's witness grown by n double rows in one cut and then
+by m double columns in one cut, trying the shortest chain first.  A family
+whose base is the board itself (1 x 2, say) is a chain of length 0.  Base
+witnesses are checked-in data (`bases.py`), rebuilt and re-verified when
+first loaded; no search runs.  Placements are built once, for the returned
+witness, and every returned tiling has been re-verified.
 """
 
 from __future__ import annotations
@@ -18,17 +16,15 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from .bases import BASE_KEYS
 from .classify import base_boards, classify, matching_tileable_families
-from .errors import ExpansionFailedError, InvariantError, WitnessDecodeError, WitnessUnavailableError
+from .errors import (ExpansionFailedError, InvalidWitnessError, InvariantError, WitnessDecodeError,
+                     WitnessUnavailableError)
 from .expansion import COLS, ROWS, _grow_keys
-from .search import find_fault_free
 from .tiling import EdgeKey, Tiling, _edge_keys, decode_for_board, encode, tiling_from_edges, verify
 from .topology import BoardSpec, Topology, build_board
 
 CACHE_ENV = "FAULT_ATLAS_CACHE"
-
-# Chain prefixes kept in memory; an evicted prefix is grown again when needed.
-_CHAIN_MEMO = 128
 
 Grown = tuple[BoardSpec, frozenset[EdgeKey]]  # a fault-free tiling as its board and edge keys
 
@@ -85,10 +81,13 @@ class BaseCase:
 
 @functools.lru_cache(maxsize=64)  # one entry per tileable family base, 20 in all
 def _base_witness(board: BoardSpec) -> Tiling:
-    outcome = find_fault_free(board)
-    if outcome.status != "found":
-        raise InvariantError(f"base case {board} must be tileable")
-    return outcome.witness
+    try:
+        tiling = tiling_from_edges(board, BASE_KEYS[board.topology.value, board.a, board.b])
+    except (KeyError, InvalidWitnessError) as exc:
+        raise InvariantError(f"no base witness for {board}") from exc
+    if not verify(board, tiling).fault_free:
+        raise InvariantError(f"base witness for {board} fails verification")
+    return tiling
 
 
 def base_cases(topology: Topology) -> list[BaseCase]:
@@ -104,43 +103,18 @@ def _transpose(board: BoardSpec, keys: frozenset[EdgeKey]) -> Grown:
     return flipped, frozenset(("v" if axis == "h" else "h", line, off) for axis, line, off in keys)
 
 
-@functools.lru_cache(maxsize=_CHAIN_MEMO)
-def _grown(base: BoardSpec, n: int, m: int) -> Grown | None:
-    """The base witness after n row and then m column expansions; None if a step fails.
-
-    Only _chain calls this, prefix by prefix, so the prefix asked for here is
-    the entry made or found just before.  That prefix is a verified base or
-    a verified earlier output, so it is grown without expand's input check.
-    """
-    if n == 0 and m == 0:
-        return base, _edge_keys(_base_witness(base))
-    prefix = _grown(base, n, m - 1) if m else _grown(base, n - 1, 0)
-    if prefix is None:
-        return None
-    try:
-        return _grow_keys(*prefix, COLS if m else ROWS)
-    except ExpansionFailedError:
-        return None
-
-
-def _chain(base: BoardSpec, n: int, m: int) -> Grown | None:
-    """Walk the chain from the base; each prefix not yet memoized costs one expand."""
-    steps = [(i, 0) for i in range(n + 1)] + [(n, j) for j in range(1, m + 1)]
-    current = None
-    for i, j in steps:
-        current = _grown(base, i, j)
-        if current is None:
-            break
-    return current
-
-
 def _expansion_chain(board: BoardSpec) -> Tiling | None:
     """Grow a witness from the nearest family base; None if every path fails."""
     swapped = board.topology is Topology.TORUS and board.a < board.b
     options = sorted(matching_tileable_families(board), key=lambda t: (t[1] + t[2], t[0].id))
     for fam, n, m in options:
-        current = _chain(build_board(board.topology, *fam.base), n, m)
-        if current is None:
+        base = build_board(board.topology, *fam.base)
+        current = base, _edge_keys(_base_witness(base))
+        try:
+            for axis, k in ((ROWS, n), (COLS, m)):
+                if k:
+                    current = _grow_keys(*current, axis, k)
+        except ExpansionFailedError:
             continue
         if swapped:
             current = _transpose(*current)

@@ -180,7 +180,7 @@ class TestSolveVerifyRenderExpand:
 HUGE_WITNESS = '{"topology":"rectangle","a":1000000000,"b":1000000000,"dominoes":[]}'
 
 
-def run_capped(*argv):
+def run_capped(*argv, timeout=30):
     """main(argv) in a child interpreter capped at 1 GiB of address space, so a
     command that allocates per cell fails there instead of exhausting the machine."""
     script = textwrap.dedent("""
@@ -190,7 +190,7 @@ def run_capped(*argv):
         sys.exit(main(sys.argv[1:]))
     """)
     return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
-                          env=package_env(), timeout=30)
+                          env=package_env(), timeout=timeout)
 
 
 class TestAreaCeiling:
@@ -209,6 +209,15 @@ class TestAreaCeiling:
         done = run_capped(*(str(wfile) if arg == "WITNESS" else arg for arg in argv))
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.count("\n") == 1 and f"above the ceiling of {MAX_AREA}" in done.stderr
+
+    def test_long_cylinder_at_the_ceiling_solves(self, tmp_path):
+        # 32,765 double columns from the 4'x6 base: one cut per axis keeps this linear.
+        out = tmp_path / "long.json"
+        done = run_capped("solve", "--topology", "cylinder", "--a", "4", "--b", "65536",
+                          "--out", str(out), timeout=60)
+        assert done.returncode == 0, done.stderr
+        done = run_capped("verify", str(out), timeout=60)
+        assert done.returncode == 0, done.stderr
 
     def test_plain_classify_takes_any_size(self, capsys):
         code, out, _ = run(capsys, "classify", "--topology", "torus",

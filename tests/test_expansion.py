@@ -13,6 +13,8 @@ from fault_atlas import (
     find_tiling,
     verify,
 )
+from fault_atlas.expansion import _grow_keys
+from fault_atlas.tiling import _edge_keys, tiling_from_edges
 from fault_atlas.witnesses import base_cases
 from fault_atlas.topology import Topology
 
@@ -82,3 +84,27 @@ class TestExpand:
         for axis in ("rows", "cols"):
             with pytest.raises(ExpansionFailedError):
                 expand(w, axis)
+
+
+class TestBands:
+    """k bands at one cut are the tiling that k single-band expansions build."""
+
+    @pytest.mark.parametrize("axis", ["rows", "cols"])
+    @pytest.mark.parametrize("topo", list(Topology), ids=lambda t: t.value)
+    def test_k_bands_equal_k_steps(self, topo, axis):
+        for case in base_cases(topo):
+            keys = _edge_keys(case.witness)
+            step = (case.board, keys)
+            done = 0
+            for k in (1, 2, 3, 5, 10):
+                while done < k:
+                    step = _grow_keys(*step, axis, 1)
+                    done += 1
+                assert _grow_keys(case.board, keys, axis, k) == step, (case.board, axis, k)
+
+    def test_fifty_bands_verify(self):
+        for topo in Topology:
+            for case in base_cases(topo):
+                for axis in ("rows", "cols"):
+                    board, keys = _grow_keys(case.board, _edge_keys(case.witness), axis, 50)
+                    assert verify(board, tiling_from_edges(board, keys)).fault_free, (case.board, axis)

@@ -195,6 +195,13 @@ class TestWitnessFormat:
         with pytest.raises(WitnessDecodeError):
             decode(json.dumps(doc))
 
+    @pytest.mark.parametrize("cells", [[["h", 0], [0, 1]], [[None, 0], [0, 1]], [[0, 0], [0, "1"]]])
+    def test_mistyped_cells_are_a_decode_error(self, cells):
+        doc = {"topology": "rectangle", "a": 1, "b": 2,
+               "dominoes": [{"edge": ["v", 1, 0], "cells": cells}]}
+        with pytest.raises(WitnessDecodeError, match="disagree"):
+            decode(json.dumps(doc))
+
     def test_duplicate_edge(self):
         doc = {"topology": "rectangle", "a": 2, "b": 2,
                "dominoes": [{"edge": ["v", 1, 0], "cells": [[0, 0], [0, 1]]},

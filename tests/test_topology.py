@@ -198,4 +198,4 @@ def test_every_memo_is_bounded():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                 memos.append(name)
                 assert obj.cache_info().maxsize is not None, f"{info.name}.{name}"
-    assert {"placements", "fault_curves", "_base_witness", "_grown"} <= set(memos)
+    assert {"placements", "fault_curves", "_base_witness"} <= set(memos)

@@ -23,9 +23,9 @@ from fault_atlas import (
     verify,
     witness,
 )
-from fault_atlas.classify import FAMILIES, matching_tileable_families
+from fault_atlas.classify import matching_tileable_families
 from fault_atlas.tiling import tiling_from_edges
-from fault_atlas.witnesses import _base_witness, _grown, default_store
+from fault_atlas.witnesses import _base_witness, default_store
 from conftest import package_env
 
 
@@ -52,26 +52,21 @@ class TestWitness:
         board = build_board("cylinder", 8, 9)
         assert encode(witness(board)) == encode(witness(board))
 
-    def test_search_runs_only_on_family_bases(self, monkeypatch):
-        bases = {build_board(topo, *fam.base) for topo, families in FAMILIES.items()
-                 for fam in families if fam.tileable}
-        searched = []
-
-        def recording(board, *args, **kwargs):
-            searched.append(board)
-            return find_fault_free(board, *args, **kwargs)
+    def test_witness_runs_no_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("witness() ran a search")
 
         _base_witness.cache_clear()
-        _grown.cache_clear()
-        monkeypatch.setattr("fault_atlas.witnesses.find_fault_free", recording)
-        for topo in Topology:
-            for a in range(1, 25):
-                for b in range(1, 25):
-                    board = build_board(topo, a, b)
-                    if classify(board).tileable:
-                        witness(board)
-        assert searched and set(searched) <= bases
-        assert len(searched) == len(set(searched))  # each base is searched once
+        monkeypatch.setattr("fault_atlas.search._Searcher.run", no_search)
+        try:
+            for topo in Topology:
+                for a in range(1, 25):
+                    for b in range(1, 25):
+                        board = build_board(topo, a, b)
+                        if classify(board).tileable:
+                            assert verify(board, witness(board)).fault_free, board
+        finally:
+            _base_witness.cache_clear()
 
     def test_failing_chain_is_unavailable(self, failing_chains):
         with pytest.raises(WitnessUnavailableError):
@@ -171,7 +166,7 @@ class TestStore:
 
 
 def _plain_chain(board):
-    """The chain without memo: public expand step by step from base_cases."""
+    """The reference chain: public expand one band at a time from base_cases."""
     bases = {case.board: case.witness for case in base_cases(board.topology)}
     options = sorted(matching_tileable_families(board), key=lambda t: (t[1] + t[2], t[0].id))
     for fam, n, m in options:
@@ -194,6 +189,8 @@ def _plain_chain(board):
 
 
 class TestChainMemo:
+    """witness() grows each axis in one cut; its bytes equal the chain of single expansions."""
+
     @pytest.fixture(scope="class")
     def plain(self):
         boards = [build_board(topo, a, b) for topo in Topology
@@ -201,12 +198,10 @@ class TestChainMemo:
         return {board: encode(_plain_chain(board)) for board in boards if classify(board).tileable}
 
     def test_bytes_equal_plain_chain(self, plain):
-        _grown.cache_clear()
         for board, text in plain.items():
             assert encode(witness(board)) == text, board
 
     def test_bytes_equal_plain_chain_largest_first(self, plain):
-        _grown.cache_clear()
         for board in sorted(plain, key=lambda bd: (-bd.area, -bd.a)):
             assert encode(witness(board)) == plain[board], board
 
@@ -218,53 +213,46 @@ class TestChainOnEdgeKeys:
         import fault_atlas.witnesses as w
 
         board = build_board(topo, a, b)
+        witness(board)  # loads the base witness, which builds its own placements once
         built = []
-        real = w.tiling_from_edges
+        grown = []
+        real_build, real_grow = w.tiling_from_edges, w._grow_keys
 
         def recording(on, edges):
             built.append(on)
-            return real(on, edges)
+            return real_build(on, edges)
+
+        def counting(on, keys, axis, k):
+            grown.append(axis)
+            return real_grow(on, keys, axis, k)
 
         for module in (w, fault_atlas.expansion):
             monkeypatch.setattr(module, "tiling_from_edges", recording)
-        _grown.cache_clear()
+        monkeypatch.setattr(w, "_grow_keys", counting)
         tiling = witness(board)
         assert built == [board]
         assert verify(board, tiling).fault_free
-        # Walk the chain that grew it again: every prefix is a memo hit holding edge keys.
-        fam, n, m = min(matching_tileable_families(board), key=lambda t: (t[1] + t[2], t[0].id))
-        base = build_board(topo, *fam.base)
-        misses = _grown.cache_info().misses
-        steps = [(i, 0) for i in range(n + 1)] + [(n, j) for j in range(1, m + 1)]
-        for i, j in steps:
-            grown_board, keys = _grown(base, i, j)
-            assert (grown_board.a, grown_board.b) == (fam.base[0] + 2 * i, fam.base[1] + 2 * j)
-            assert isinstance(keys, frozenset) and all(type(k) is tuple and len(k) == 3 for k in keys)
-        assert _grown.cache_info().misses == misses
-        assert len(steps) > 1
+        assert grown and len(grown) == len(set(grown))  # at most one cut search per axis
 
     def test_witness_reverifies_the_chain_result(self, monkeypatch):
         import fault_atlas.witnesses as w
 
-        def no_band(board, keys, axis):  # grows the board, lays no band: the result cannot verify
-            a, b = (board.a + 2, board.b) if axis == "rows" else (board.a, board.b + 2)
+        def no_band(board, keys, axis, k):  # grows the board, lays no band: the result cannot verify
+            a, b = (board.a + 2 * k, board.b) if axis == "rows" else (board.a, board.b + 2 * k)
             return build_board(board.topology, a, b), keys
 
-        _grown.cache_clear()
         monkeypatch.setattr(w, "_grow_keys", no_band)
-        try:
-            with pytest.raises(InvariantError, match="fails verification"):
-                witness(build_board("cylinder", 6, 6))
-        finally:
-            _grown.cache_clear()
+        with pytest.raises(InvariantError, match="fails verification"):
+            witness(build_board("cylinder", 6, 6))
 
 
 def test_invariant_holds_under_optimize():
     script = textwrap.dedent("""
         import fault_atlas.witnesses as w
-        from fault_atlas import InvariantError, SearchOutcome, build_board
+        from fault_atlas import InvariantError, build_board
+        from fault_atlas.bases import BASE_KEYS
 
-        w.find_fault_free = lambda board: SearchOutcome("exhausted-none", None, 0)
+        BASE_KEYS["rectangle", 5, 6] = BASE_KEYS["rectangle", 5, 6][1:]
         try:
             w._base_witness(build_board("rectangle", 5, 6))
         except InvariantError:
