@@ -96,7 +96,7 @@ def _bound_text(board) -> str:
     lines.append(f"min required {shown_min}, capacity {report.capacity}, {verdict}")
     lines.append(f"parity classes examined: {report.parity_classes_examined}")
     for lo, hi in report.reachable[:16]:
-        lines.append(f"  class reachable totals: {lo}..{hi} step 2")
+        lines.append(f"  reachable totals: {lo}..{hi} step 2")
     if len(report.reachable) > 16:
         lines.append(f"  ... {len(report.reachable) - 16} more ranges")
     return "\n".join(lines) + "\n"

@@ -10,29 +10,27 @@ caps bound each variable by its number of crossing edges; on a Moebius strip
 with both sides even, wrap tiles cover same-colored cells so color balance
 forces s to be even.
 
-A parity class is one solution of the GF(2) equations; the totals it admits
-run from a minimum to a maximum in steps of 2.  counting_feasible counts the
-classes per (min, max) range in one dynamic-programming pass over the
-variables in the order they are numbered: rows first, then the seam and the
-columns.  The state is the residual of every equation still open and, per
-coverage group still open, whether one of its variables is odd; an equation
-is checked against its rhs at its last variable, a group adds 2 to the
-minimum or rules the class out at its last.
-On a Moebius strip each wrap pair comes next to the two lines it joins, so
-the state stays a few bits wide however tall the strip.
+A parity class is one solution of the GF(2) equations.  counting_feasible
+finds every total an admissible profile reaches in one dynamic-programming
+pass over the variables in the order they are numbered: rows first, then the
+seam and the columns.  Each state keeps one set of reachable partial totals,
+an int with bit t for total t; the classes themselves are counted apart.  On
+a Moebius strip each wrap pair comes next to the two lines it joins, so the
+state stays a few bits wide however tall the strip.
 
-A board is counting-feasible when some admissible class can realize a total
-of exactly a*b/2.  Infeasible is a sound verdict: the board is not fault-free
+A board is counting-feasible when some admissible profile totals exactly
+a*b/2.  Infeasible is a sound verdict: the board is not fault-free
 tileable.  Feasible proves nothing by itself.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 from .tiling import Tiling
-from .topology import BoardSpec, Topology, _curve_id, _fold_lines
+from .topology import BoardSpec, Topology, _fold_lines
 
 STATUS_OK = "ok"
 STATUS_ODD_AREA = "odd-area"
@@ -118,8 +116,9 @@ class CrossingProfile:
 class FeasibilityReport:
     """The counting verdict.
 
-    reachable holds the distinct (min, max) total ranges of the admissible
-    parity classes, sorted; each range is walked in steps of 2.
+    reachable holds the maximal runs lo, lo+2, ..., hi of reachable totals as
+    (lo, hi), sorted; min_required is the least.  parity_classes_examined
+    counts every solution of the GF(2) equations, admissible or not.
     """
 
     min_required: int | None
@@ -134,106 +133,105 @@ def build_parity_system(board: BoardSpec) -> ParitySystem:
     """Emit the GF(2) row/column/color equations with coverage and caps."""
     a, b, topo = board.a, board.b, board.topology
     variables: list[Variable] = []
-    index: dict[tuple[str, object], int] = {}
-
-    def add(kind: str, key: object, cap: int) -> None:
-        if (kind, key) not in index:
-            index[kind, key] = len(variables)
-            variables.append(Variable(kind, key, cap))
-
-    def bit(kind: str, key: object) -> int:
-        """The variable's mask bit; 0 for a boundary line, which has no variable."""
-        return 1 << index[kind, key] if (kind, key) in index else 0
-
-    h_lines = _fold_lines(board, "h")
+    x = [0] * a  # mask bit of horizontal line l's variable, 0 on a boundary line; line a is line 0
+    wrap = [0] * a  # on a Moebius strip, the bit of row r's wrap pair; 0 on the middle row
+    seam = 0  # the s bit, or on a Moebius strip the wrap pairs together; none on a rectangle
     if topo is Topology.MOBIUS:
+        # block j is u{j, a-1-j} at 3j, then lines j+1 and a-1-j at 3j+1 and 3j+2 if new
         for j in range((a + 1) // 2):
-            pair = frozenset({j, a - 1 - j})
-            add("u", pair, len(pair) if b >= 2 else len(pair) - 1)
-            for line in (j + 1, a - 1 - j):
-                if line in h_lines:
-                    add("x", line, b)
+            pair = a - 1 - j
+            seam |= 1 << len(variables)
+            wrap[j] = wrap[pair] = (j != pair) << len(variables)
+            variables.append(Variable("u", frozenset({j, pair}), (2 if b >= 2 else 1) - (j == pair)))
+            for line in (j + 1, pair)[:pair - j]:
+                x[line] = 1 << len(variables)
+                variables.append(Variable("x", line, b))
+        groups = [(3 * c + 1, 3 * c + 2) if a != 2 * c + 2 else (3 * c + 1,) for c in range(a // 2)]
+        groups.append(tuple(range(0, 3 * ((a + 1) // 2), 3)))
     else:
-        for line in h_lines:
-            add("x", line, 0 if a == 1 else b)  # cap 0: line 0 of a 1-high torus cannot be crossed
-    if topo in (Topology.CYLINDER, Topology.TORUS):
-        add("s", None, a if b >= 2 else 0)
+        cap = 0 if a == 1 else b  # cap 0: line 0 of a 1-high torus cannot be crossed
+        for line in range(0 if topo is Topology.TORUS else 1, a):
+            x[line] = 1 << len(variables)
+            variables.append(Variable("x", line, cap))
+        if topo is not Topology.RECTANGLE:
+            seam = 1 << len(variables)
+            variables.append(Variable("s", None, a if b >= 2 else 0))
+        groups = [(i,) for i in range(len(variables))]
+    # Line b is the seam, line 0.  b == 1 cancels naturally: both sides of the column
+    # are the seam, so every wrap tile contributes two cells and the terms XOR away.
+    y = [seam] * b
     for line in range(1, b):
-        add("y", line, a)
-    seam_vars = [i for i, v in enumerate(variables) if v.kind in ("s", "u")]  # none on a rectangle
-    seam = sum(1 << i for i in seam_vars)  # on a Moebius strip, the wrap pairs together
-
-    equations: list[tuple[int, int]] = []
-    for r in range(a):
-        # line a is line 0, which has a variable only on a torus
-        mask = bit("x", r) ^ bit("x", (r + 1) % a)
-        if topo is Topology.MOBIUS and r != a - 1 - r:
-            mask ^= bit("u", frozenset({r, a - 1 - r}))
-        equations.append((mask, b & 1))
-    for c in range(b):
-        # Line b is the seam, line 0, which has no y variable.  b == 1 cancels
-        # naturally: both sides of the column are the seam, so every wrap
-        # tile contributes two cells and the terms XOR away.
-        equations.append(((bit("y", c) or seam) ^ (bit("y", (c + 1) % b) or seam), a & 1))
+        groups.append((len(variables),))
+        y[line] = 1 << len(variables)
+        variables.append(Variable("y", line, a))
+    equations = [(x[r] ^ x[(r + 1) % a] ^ wrap[r], b & 1) for r in range(a)]
+    equations += [(y[c] ^ y[(c + 1) % b], a & 1) for c in range(b)]
     if topo is Topology.MOBIUS and a % 2 == 0 and b % 2 == 0:
         equations.append((seam, 0))
-
-    curve_vars: dict[int, list[int]] = {}
-    for axis, kind in (("h", "x"), ("v", "y")):
-        for line in _fold_lines(board, axis):
-            members = [index[kind, line]] if (kind, line) in index else seam_vars
-            curve_vars.setdefault(_curve_id(board, axis, line), []).extend(members)
-    groups = tuple(tuple(curve_vars[cid]) for cid in sorted(curve_vars))
-    return ParitySystem(board, tuple(variables), tuple(equations), groups)
+    return ParitySystem(board, tuple(variables), tuple(equations), tuple(groups))
 
 
-def _range_counts(system: ParitySystem) -> dict[tuple[int, int] | None, int]:
-    """Parity classes per (min total, max total), None for the inadmissible ones.
+def _reachable_totals(system: ParitySystem) -> int:
+    """The totals of every admissible profile, as an int with bit t for total t.
 
-    Equation j is state bit j and coverage group g is bit n + g, where n is
-    the number of equations.  A class is inadmissible when a parity exceeds
-    its cap, or when a group has no odd variable and no cap of 2 or more to
-    cross it twice; a group with no odd variable otherwise adds 2 to the minimum.
+    The state has bit j for the residual of open equation j and bit n + g for
+    whether open coverage group g is covered.  A variable takes 0, an even
+    value >= 2 or an odd value, the last two covering its groups; each move
+    adds its set of values to the union of partial totals a state keeps, and
+    adding a set distributes over a union, so the union is exact.  At its last
+    variable an equation must meet its rhs and a group must be covered.  Per
+    variable, flips and marks are the equation bits its odd value toggles and
+    the group bits a value >= 1 covers; need and want are the bits closing
+    there and their required values.
     """
-    m, n = len(system.variables), len(system.equations)  # step k decides the parity of variable k
-    flips = [0] * m  # equation bits an odd parity at step k toggles
-    marks = [0] * m  # group bits it sets
-    closing = [[0, 0, []] for _ in range(m)]  # equation bits, their rhs bits, (group bit, fixable)
+    m, n = len(system.variables), len(system.equations)
+    flips, marks, need, want = ([0] * m for _ in range(4))
     for j, (mask, rhs) in enumerate(system.equations):
-        if not mask:
-            if rhs:
-                return {}
-            continue
-        last = mask.bit_length() - 1
+        last = mask.bit_length() - 1  # -1, the last variable, for an equation without variables
         for k in range(last + 1):
-            if mask >> k & 1:
-                flips[k] |= 1 << j
-        closing[last][0] |= 1 << j
-        closing[last][1] |= rhs << j
+            flips[k] |= (mask >> k & 1) << j
+        need[last] |= 1 << j
+        want[last] |= rhs << j
     for g, group in enumerate(system.coverage_groups):
+        bit = 1 << (n + g)
         for i in group:
-            marks[i] |= 1 << (n + g)
-        fixable = any(system.variables[i].cap >= 2 for i in group)
-        closing[max(group)][2].append((1 << (n + g), fixable))
-    layer: dict[tuple[int, tuple[int, int] | None], int] = {(0, (0, 0)): 1}
+            marks[i] |= bit
+        need[max(group)] |= bit
+        want[max(group)] |= bit
+    layer = {0: 1}  # state -> reachable partial totals
     for k, var in enumerate(system.variables):
-        cap = var.cap
-        eq_bits, eq_rhs, groups = closing[k]
-        nxt: dict[tuple[int, tuple[int, int] | None], int] = {}
-        for (state, rng), count in layer.items():
-            for p in (0, 1):
-                s = (state ^ flips[k]) | marks[k] if p else state
-                if s & eq_bits != eq_rhs:
-                    continue
-                s &= ~eq_bits
-                r = None if rng is None or p > cap else (rng[0] + p, rng[1] + cap - (cap - p) % 2)
-                for bit, fixable in groups:
-                    if r is not None and not s & bit:
-                        r = (r[0] + 2, r[1]) if fixable else None
-                    s &= ~bit
-                nxt[s, r] = nxt.get((s, r), 0) + count
+        cap, flip, mark, close, ok = var.cap, flips[k], marks[k], need[k], want[k]
+        nxt: dict[int, int] = {}
+        for state, totals in layer.items():
+            high, span = (totals << 2 if cap >= 2 else 0), 1  # totals plus an even value >= 2
+            while span < cap // 2:  # doubling the span of the values added
+                high |= high << 2 * min(span, cap // 2 - span)
+                span *= 2
+            if state & close == ok:  # the value 0
+                nxt[state & ~close] = nxt.get(state & ~close, 0) | totals
+            s = state | mark  # an even value of 2 or more
+            if high and s & close == ok:
+                nxt[s & ~close] = nxt.get(s & ~close, 0) | high
+            s = (state ^ flip) | mark  # an odd value
+            if cap and s & close == ok:
+                odd = high >> 1 if cap % 2 == 0 else (totals | high) << 1
+                nxt[s & ~close] = nxt.get(s & ~close, 0) | odd
         layer = nxt
-    return {r: count for (_s, r), count in layer.items()}
+    return layer.get(0, 0)
+
+
+def _solution_count(system: ParitySystem) -> int:
+    """The number of parity classes: solutions of the GF(2) equations."""
+    pivots: dict[int, int] = {}  # leading bit -> reduced equation, mask << 1 | rhs
+    for mask, rhs in system.equations:
+        eq = mask << 1 | rhs
+        while eq.bit_length() in pivots:
+            eq ^= pivots[eq.bit_length()]
+        if eq == 1:  # 0 = 1
+            return 0
+        if eq:
+            pivots[eq.bit_length()] = eq
+    return 1 << (len(system.variables) - len(pivots))
 
 
 @functools.lru_cache(maxsize=128)
@@ -241,12 +239,14 @@ def counting_feasible(board: BoardSpec) -> FeasibilityReport:
     """Decide whether any admissible profile can total exactly a*b/2."""
     if board.area % 2:
         return FeasibilityReport(None, False, 0, (), None, STATUS_ODD_AREA)
-    counts = _range_counts(build_parity_system(board))
-    reachable = tuple(sorted(r for r in counts if r is not None))
+    system = build_parity_system(board)
+    totals = _reachable_totals(system)
+    bits = f"{totals:b}"[::-1]  # the maximal runs lo, lo+2, ..., hi of totals, per parity
+    runs = tuple(sorted((2 * run.start() + p, 2 * run.end() - 2 + p)
+                        for p in (0, 1) for run in re.finditer("1+", bits[p::2])))
     capacity = board.capacity
-    feasible = any(lo <= capacity <= hi and (capacity - lo) % 2 == 0 for lo, hi in reachable)
-    best = reachable[0][0] if reachable else None
-    return FeasibilityReport(best, feasible, sum(counts.values()), reachable, capacity)
+    return FeasibilityReport(runs[0][0] if runs else None, bool(totals >> capacity & 1),
+                             _solution_count(system), runs, capacity)
 
 
 def min_required_tiles(board: BoardSpec) -> int | None:

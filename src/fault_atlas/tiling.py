@@ -186,13 +186,13 @@ def decode(text: str) -> Tiling:
             raise WitnessDecodeError(f"duplicate edge id {key}")
         seen.add(key)
         try:
-            declared_cells = {tuple(cells[0]), tuple(cells[1])}
-        except (IndexError, KeyError, TypeError) as exc:
+            (r0, c0), (r1, c1) = cells[0], cells[1]
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise WitnessDecodeError(f"malformed cells in {entry!r}: {exc}") from exc
-        if declared_cells != set(expected):
-            raise WitnessDecodeError(
-                f"cells {cells!r} disagree with edge {key} -> {sorted(expected)}"
-            )
+        declared = ((r0, c0), (r1, c1))  # in either order, and as ints: true == 1 and 1.0 == 1
+        if (expected not in (declared, declared[::-1])
+                or not type(r0) is type(c0) is type(r1) is type(c1) is int):
+            raise WitnessDecodeError(f"cells {cells!r} disagree with edge {key} -> {sorted(expected)}")
         dominoes.append(Placement(CrossingEdge(axis, line, offset), expected))
     return Tiling(board, frozenset(dominoes))
 

@@ -306,6 +306,22 @@ def enumerated_report(board: BoardSpec):
     return min((lo for lo, _ in ranges), default=None), feasible, classes, ranges
 
 
+def step2_runs(totals: set[int]) -> tuple[tuple[int, int], ...]:
+    """The maximal runs lo, lo+2, ..., hi of a set of totals, as (lo, hi) sorted."""
+    runs = []
+    for lo in sorted(t for t in totals if t - 2 not in totals):
+        hi = lo
+        while hi + 2 in totals:
+            hi += 2
+        runs.append((lo, hi))
+    return tuple(runs)
+
+
+def run_totals(runs) -> set[int]:
+    """Every total in (lo, hi) step-2 runs."""
+    return {t for lo, hi in runs for t in range(lo, hi + 1, 2)}
+
+
 def measure_profile(board: BoardSpec, tiling: Tiling):
     """Raw crossing counts read straight off a tiling's placements."""
     x: dict[int, int] = {}

@@ -219,6 +219,13 @@ class TestAreaCeiling:
         done = run_capped("verify", str(out), timeout=60)
         assert done.returncode == 0, done.stderr
 
+    def test_moebius_bound_at_the_ceiling_counts(self):
+        # one set of reachable totals per state: keeping each of the about n^2/16
+        # class ranges made this cubic in the side, about 46 s
+        done = run_capped("bound", "--topology", "mobius", "--a", "512", "--b", "512")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[0] == "min required 1536, capacity 131072, feasible"
+
     def test_plain_classify_takes_any_size(self, capsys):
         code, out, _ = run(capsys, "classify", "--topology", "torus",
                            "--a", "1000000000", "--b", "1000000000")

@@ -19,12 +19,15 @@ from fault_atlas import (
 )
 from conftest import (
     _constraints_ok,
+    _solve_gf2,
     boards_upto,
     brute_profile_totals,
     enumerate_fault_free,
     enumerated_report,
     measure_profile,
     parity_classes,
+    run_totals,
+    step2_runs,
     sweep_order,
 )
 
@@ -154,6 +157,16 @@ class TestSoundness:
                 assert not classify(board).tileable, board
         assert boards == 792
 
+    def test_counting_agrees_with_classify_to_40(self):
+        # every even-area board with sides <= 40 on all four topologies: counting
+        # refutes every even-area O cell and admits every X cell
+        boards = 0
+        for board in boards_upto(40):
+            if board.area % 2 == 0:
+                boards += 1
+                assert counting_feasible(board).feasible == classify(board).tileable, board
+        assert boards == 4800
+
 
 class TestParitySystem:
     def test_cylinder_4x5_parities(self):
@@ -201,6 +214,18 @@ class TestParitySystem:
             system = build_parity_system(board)
             assert [(v.kind, v.key) for v in system.variables] == sweep_order(system), board
 
+    def test_class_count_equals_row_reduction(self):
+        # past the boards whose classes can be enumerated: 3,072 even-area boards to 32
+        checked = 0
+        for board in boards_upto(32):
+            if board.area % 2 == 0:
+                system = build_parity_system(board)
+                solved = _solve_gf2(system.equations, len(system.variables))
+                expected = 0 if solved is None else 1 << len(solved[1])
+                assert counting_feasible(board).parity_classes_examined == expected, board
+                checked += 1
+        assert checked == 3072
+
     def test_one_pass_equals_class_enumeration(self):
         # every even-area board with sides <= 20 on all four topologies: 1,200 boards
         checked = 0
@@ -208,10 +233,10 @@ class TestParitySystem:
             if board.area % 2:
                 continue
             report = counting_feasible(board)
-            got = (report.min_required, report.feasible, report.parity_classes_examined,
-                   set(report.reachable))
-            assert got == enumerated_report(board), board
-            assert list(report.reachable) == sorted(got[3]), board
+            minimum, feasible, classes, ranges = enumerated_report(board)
+            got = (report.min_required, report.feasible, report.parity_classes_examined)
+            assert got == (minimum, feasible, classes), board
+            assert report.reachable == step2_runs(run_totals(ranges)), board
             checked += 1
         assert checked == 1200
 
@@ -228,6 +253,7 @@ class TestBruteForceEquivalence:
             got_min = min_required_tiles(board)
             assert got_min == expected_min, (board, got_min, expected_min)
             assert report.feasible == (board.capacity in totals), board
+            assert run_totals(report.reachable) == totals, board
             checked += 1
         assert checked >= 20
 

@@ -202,6 +202,14 @@ class TestWitnessFormat:
         with pytest.raises(WitnessDecodeError, match="disagree"):
             decode(json.dumps(doc))
 
+    @pytest.mark.parametrize("cells", [[[0, False], [0, True]], [[0, 0.0], [0, 1]], [[False, 0], [0, 1]]])
+    def test_cells_equal_to_ints_but_not_ints_are_a_decode_error(self, cells):
+        # False == 0, True == 1 and 0.0 == 0, so only the type tells these from the edge's cells
+        doc = {"topology": "rectangle", "a": 1, "b": 2,
+               "dominoes": [{"edge": ["v", 1, 0], "cells": cells}]}
+        with pytest.raises(WitnessDecodeError, match="disagree"):
+            decode(json.dumps(doc))
+
     def test_duplicate_edge(self):
         doc = {"topology": "rectangle", "a": 2, "b": 2,
                "dominoes": [{"edge": ["v", 1, 0], "cells": [[0, 0], [0, 1]]},
