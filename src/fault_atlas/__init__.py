@@ -1,17 +1,16 @@
-"""Fault-free domino tileability of rectangles, cylinders, tori, and Moebius strips."""
+"""Fault-free domino tileability of rectangles, cylinders, tori, and Moebius strips.
 
-from .charts import Chart, build_chart, chart_text
-from .classify import Verdict, base_boards, classify
-from .counting import (
-    CrossingProfile,
-    FeasibilityReport,
-    ParitySystem,
-    build_parity_system,
-    check_profile,
-    counting_feasible,
-    min_required_tiles,
-    profile_of,
-)
+Public names load on first use (PEP 562): `fault_atlas.find_fault_free`
+imports `fault_atlas.search` when it is first read, so a process pays only
+for the modules it touches.  The errors are bound at import, and so is
+`classify`: the function shares its name with its submodule, and importing
+that submodule binds the package attribute, which `__getattr__` would then
+never see.
+"""
+
+import importlib
+
+from .classify import classify
 from .errors import (
     ExpansionFailedError,
     FaultAtlasError,
@@ -23,83 +22,37 @@ from .errors import (
     WitnessDecodeError,
     WitnessUnavailableError,
 )
-from .expansion import expand
-from .render import ascii_render, svg_render
-from .search import (
-    SearchOutcome,
-    count_tilings,
-    fault_free_exists_oracle,
-    find_fault_free,
-    find_tiling,
-)
-from .tiling import Tiling, VerificationReport, decode, decode_for_board, encode, verify
-from .topology import (
-    BoardSpec,
-    CrossingEdge,
-    FaultCurve,
-    Placement,
-    Topology,
-    build_board,
-    cell_color,
-    curve_of,
-    fault_curves,
-    placements,
-)
-from .witnesses import BaseCase, WitnessStore, base_cases, default_store, witness
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaseCase",
-    "BoardSpec",
-    "Chart",
-    "CrossingEdge",
-    "CrossingProfile",
-    "ExpansionFailedError",
-    "FaultAtlasError",
-    "FaultCurve",
-    "FeasibilityReport",
-    "InvalidDimensionError",
-    "InvalidWitnessError",
-    "InvariantError",
-    "OracleRangeError",
-    "ParitySpaceTooLargeError",
-    "ParitySystem",
-    "Placement",
-    "SearchOutcome",
-    "Tiling",
-    "Topology",
-    "Verdict",
-    "VerificationReport",
-    "WitnessDecodeError",
-    "WitnessStore",
-    "WitnessUnavailableError",
-    "ascii_render",
-    "base_boards",
-    "base_cases",
-    "build_board",
-    "build_chart",
-    "build_parity_system",
-    "cell_color",
-    "chart_text",
-    "check_profile",
-    "classify",
-    "count_tilings",
-    "counting_feasible",
-    "curve_of",
-    "decode",
-    "decode_for_board",
-    "default_store",
-    "encode",
-    "expand",
-    "fault_curves",
-    "fault_free_exists_oracle",
-    "find_fault_free",
-    "find_tiling",
-    "min_required_tiles",
-    "placements",
-    "profile_of",
-    "svg_render",
-    "verify",
-    "witness",
-]
+# Each public name and the submodule that defines it.
+_HOME = {name: module for module, names in (
+    ("charts", "Chart build_chart chart_text"),
+    ("classify", "Verdict base_boards classify"),
+    ("counting", "CrossingProfile FeasibilityReport ParitySystem build_parity_system check_profile "
+                 "counting_feasible min_required_tiles profile_of"),
+    ("errors", "ExpansionFailedError FaultAtlasError InvalidDimensionError InvalidWitnessError "
+               "InvariantError OracleRangeError ParitySpaceTooLargeError WitnessDecodeError "
+               "WitnessUnavailableError"),
+    ("expansion", "expand"),
+    ("render", "ascii_render svg_render"),
+    ("search", "SearchOutcome count_tilings fault_free_exists_oracle find_fault_free find_tiling"),
+    ("tiling", "Tiling VerificationReport decode decode_for_board encode verify"),
+    ("topology", "BoardSpec CrossingEdge FaultCurve Placement Topology build_board cell_color curve_of "
+                 "fault_curves placements"),
+    ("witnesses", "BaseCase WitnessStore base_cases default_store witness"),
+) for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

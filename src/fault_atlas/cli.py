@@ -3,7 +3,9 @@
 Exit codes are a stable scripting contract: 0 success, 1 usage error,
 2 invalid input or I/O failure, 3 witness verification failure.  A board
 whose area exceeds MAX_AREA is invalid input for every command but plain
-classify, which is closed-form.
+classify, which is closed-form.  A module that only some commands use
+(counting, render, charts, the expansion step) is imported by those
+commands when they run.
 """
 
 from __future__ import annotations
@@ -13,17 +15,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .charts import build_chart, chart_text
 from .classify import classify
-from .counting import counting_feasible
 from .errors import (
     ExpansionFailedError,
     FaultAtlasError,
     WitnessDecodeError,
     WitnessUnavailableError,
 )
-from .expansion import _grow
-from .render import ascii_render, svg_render
 from .tiling import decode, encode, verify
 from .topology import Topology, build_board
 from .witnesses import default_store, witness
@@ -86,6 +84,8 @@ def _read_witness(path: str):
 
 
 def _bound_text(board) -> str:
+    from .counting import counting_feasible
+
     report = counting_feasible(board)
     lines = []
     if report.status == "odd-area":
@@ -130,12 +130,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     except WitnessUnavailableError as exc:
         print(f"{board}: inconclusive ({exc})")
         return EXIT_OK
-    if args.format == "ascii":
-        _write_out(ascii_render(tiling), args.out)
-    elif args.format == "svg":
-        _write_out(svg_render(tiling), args.out)
-    else:
+    if args.format == "json":
         _write_out(encode(tiling), args.out)
+        return EXIT_OK
+    from .render import ascii_render, svg_render
+
+    _write_out((ascii_render if args.format == "ascii" else svg_render)(tiling), args.out)
     return EXIT_OK
 
 
@@ -158,6 +158,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
+    from .expansion import _grow
+
     tiling = _read_witness(args.witness_file)
     if not verify(tiling.board, tiling).fault_free:
         print("witness fails verification; cannot expand", file=sys.stderr)
@@ -175,6 +177,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
         raise _CliError(EXIT_INVALID, f"--max must be in 1..{MAX_CENSUS}")
     if args.witness_limit < 0:
         raise _CliError(EXIT_USAGE, f"--witness-limit must be >= 0, got {args.witness_limit}")
+    from .charts import build_chart, chart_text
+
     chart = build_chart(args.topology, args.max)
     _write_out(chart_text(chart), args.out)
     # --witnesses enables generation; FAULT_ATLAS_CACHE only redirects it
@@ -192,6 +196,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .render import ascii_render, svg_render
+
     tiling = _read_witness(args.witness_file)
     report = verify(tiling.board, tiling)
     if not report.fault_free:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .tiling import Tiling
 from .topology import BoardSpec, Topology, _fold_lines
@@ -36,8 +37,7 @@ STATUS_OK = "ok"
 STATUS_ODD_AREA = "odd-area"
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     kind: str  # "x" | "y" | "s" | "u"
     key: object  # line index for x/y, None for s, frozenset row pair for u
     cap: int

@@ -43,8 +43,7 @@ class Tiling:
     dominoes: frozenset[Placement]
 
 
-_edge_key = attrgetter("edge.axis", "edge.line", "edge.offset")
-_cells = attrgetter("cells")
+_edge_key = attrgetter("edge")  # a CrossingEdge is its own (axis, line, offset) key
 
 
 def _edge_keys(tiling: Tiling) -> frozenset[EdgeKey]:
@@ -70,8 +69,7 @@ def verify(board: BoardSpec, tiling: Tiling) -> VerificationReport:
     """
     if tiling.board != board:
         raise InvalidWitnessError(f"tiling is for {tiling.board}, not {board}")
-    # Two lock-step passes over one unchanged frozenset visit it in one order.
-    return _report(board, zip(map(_edge_key, tiling.dominoes), map(_cells, tiling.dominoes)))
+    return _report(board, tiling.dominoes)  # each Placement is an (edge, cells) pair
 
 
 def _verify_keys(board: BoardSpec, keys: Iterable[EdgeKey]) -> VerificationReport:
@@ -137,7 +135,7 @@ _DOMINO = (
 def encode(tiling: Tiling) -> str:
     """Serialize to the canonical witness document (UTF-8 JSON text), dominoes in edge-key order."""
     board = tiling.board
-    rows = [_DOMINO % (*_edge_key(p), *p.cells[0], *p.cells[1])
+    rows = [_DOMINO % (*p.edge, *p.cells[0], *p.cells[1])
             for p in sorted(tiling.dominoes, key=_edge_key)]
     dominoes = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     return _DOCUMENT % (board.topology.value, board.a, board.b, dominoes)

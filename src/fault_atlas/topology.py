@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidDimensionError
 
@@ -91,15 +91,14 @@ class BoardSpec:
         return f"{self.topology.value} {self.a}{mark}x{self.b}{tail}"
 
 
-@dataclass(frozen=True, order=True)
-class CrossingEdge:
+class CrossingEdge(NamedTuple):
     """The unit grid segment interior to one domino.
 
     axis "h": a segment of horizontal line `line` (1..a-1 internal; 0 is the
     glued row edge on a torus) at column `offset`; crossed by a vertical
     domino.  axis "v": a segment of vertical line `line` (1..b-1 internal;
     0 is the seam on wrapped topologies) at row `offset`; crossed by a
-    horizontal domino.
+    horizontal domino.  As a tuple it equals, and hashes as, its edge key.
     """
 
     axis: str
@@ -110,8 +109,7 @@ class CrossingEdge:
         return (self.axis, self.line, self.offset)
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """One domino: its crossing edge plus the two cells it covers."""
 
     edge: CrossingEdge

@@ -16,7 +16,6 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bases import BASE_KEYS
 from .classify import base_boards, classify, matching_tileable_families
 from .errors import (ExpansionFailedError, InvalidWitnessError, InvariantError, WitnessDecodeError,
                      WitnessUnavailableError)
@@ -81,6 +80,8 @@ class BaseCase:
 
 @functools.lru_cache(maxsize=64)  # one entry per tileable family base, 20 in all
 def _base_witness(board: BoardSpec) -> Tiling:
+    from .bases import BASE_KEYS  # imported on first use: a witness read from the store never needs it
+
     try:
         tiling = tiling_from_edges(board, BASE_KEYS[board.topology.value, board.a, board.b])
     except (KeyError, InvalidWitnessError) as exc:

@@ -9,7 +9,9 @@ import pytest
 
 import fault_atlas
 from fault_atlas import (
+    CrossingEdge,
     InvalidDimensionError,
+    Placement,
     Topology,
     build_board,
     cell_color,
@@ -188,6 +190,22 @@ class TestCellColor:
     def test_outside_board(self):
         with pytest.raises(ValueError):
             cell_color(build_board("rectangle", 2, 2), (2, 0))
+
+
+@pytest.mark.parametrize("topo", list(Topology))
+def test_records_equal_and_hash_as_their_field_tuples(topo):
+    # Witness bytes follow frozenset order, which follows these hashes.
+    for a, b in [(1, 2), (2, 1), (3, 4), (4, 6), (5, 5)]:
+        for p in placements(build_board(topo, a, b)):
+            k = p.edge.key()
+            edge = CrossingEdge(*k)
+            assert type(k) is tuple and edge == k and hash(edge) == hash(k)
+            assert Placement(edge, p.cells) == p
+            assert hash(Placement(edge, p.cells)) == hash((k, p.cells))
+            with pytest.raises(AttributeError):
+                edge.line = 0
+            with pytest.raises(AttributeError):
+                p.cells = p.cells[::-1]
 
 
 def test_every_memo_is_bounded():
