@@ -1,10 +1,10 @@
-"""Search outcomes are a fence: status, node count and witness bytes per board.
+"""Search outcomes are a fence: status, node count, pruned children and witness bytes per board.
 
 `tests/golden/search_outcomes.txt` holds one line per search, in this order:
 
-- `fault-free topology a b status nodes sha256` for every board of area <= 48;
+- `fault-free topology a b status nodes sha256 pruned` for every board of area <= 48;
 - `unpruned ...`, the same with `prune=False`, for area <= 24;
-- `tiling ...` from `find_tiling` for area <= 20;
+- `tiling topology a b status nodes sha256` from `find_tiling` for area <= 20;
 - `count topology a b n` from `count_tilings` for area <= 16.
 
 The digest is the SHA-256 of `encode(witness)`, or `-` when there is no
@@ -34,7 +34,8 @@ def _boards(max_area: int) -> Iterator:
 def _line(kind: str, board, outcome) -> str:
     digest = "-" if outcome.witness is None else hashlib.sha256(
         encode(outcome.witness).encode("utf-8")).hexdigest()
-    return f"{kind} {board.topology.value} {board.a} {board.b} {outcome.status} {outcome.nodes} {digest}"
+    line = f"{kind} {board.topology.value} {board.a} {board.b} {outcome.status} {outcome.nodes} {digest}"
+    return line if kind == "tiling" else f"{line} {outcome.pruned}"
 
 
 def outcome_lines() -> Iterator[str]:
