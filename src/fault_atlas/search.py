@@ -15,6 +15,16 @@ c*a + r), so the cell to expand is the lowest zero bit.  Bit k of the crossed
 mask is fault curve k, numbered as `topology._curve_id` numbers them.  A
 cell's placements are tried vertical-first, then horizontal, then wrapping;
 then by line, offset and edge id, which makes node counts reproducible.
+
+Every cell below the expanded cell i is covered, so only the dominoes whose
+other cell lies above i are moves at i, and only a crossing pair with both
+cells above i can be free in the child.  The prune data is narrowed to that
+once per board: the nearby curves with no pair above i form one `must` mask
+(the child is cut if one of them is uncrossed), and every other nearby curve
+keeps its pairs above i, highest lower cell first.  Those prefixes are tuples
+shared by every move that needs the same curve with the same pairs.  One
+kernel serves all four searches; the modes without pruning get empty prune
+data.
 """
 
 from __future__ import annotations
@@ -40,113 +50,137 @@ class SearchOutcome:
 
 
 class _Geometry:
-    """The board as bit masks: per-cell placements and per-curve crossing pairs."""
+    """The board as bit masks: per-curve crossing pairs, then per-cell moves."""
 
-    __slots__ = ("edges", "moves", "pairs", "full")
+    __slots__ = ("edges", "bits", "curve", "pairs", "full")
 
     def __init__(self, board: BoardSpec) -> None:
         a = board.a
         # edges[eid] = (axis, line, offset, cells), the topology's records in edge id order
         self.edges = edges = tuple(_edges(board))
-        curve = [_curve_id(board, axis, line) for axis, line, _offset, _cells in edges]
-        bits = [(c1 * a + r1, c2 * a + r2) for *_key, ((r1, c1), (r2, c2)) in edges]
-        pairs: list[list[int]] = [[] for _ in range(_curve_id(board, "v", board.b))]
-        at: list[set[int]] = [set() for _ in range(board.area)]  # curves of the edges at each cell
-        for eid, (i, j) in enumerate(bits):
-            pairs[curve[eid]].append(1 << i | 1 << j)
-            at[i].add(curve[eid])
-            at[j].add(curve[eid])
-        # the sweep covers low bits first, so free pairs are likelier among the high ones
-        self.pairs = tuple(tuple(reversed(p)) for p in pairs)
-        curves = [(1 << k, p) for k, p in enumerate(self.pairs)]
-        # a placement: (cells mask, curve bit, edge id, the other curves of edges sharing a cell)
-        plcs = [(1 << i | 1 << j, 1 << k, eid, tuple(curves[c] for c in at[i] | at[j] if c != k))
-                for eid, ((i, j), k) in enumerate(zip(bits, curve))]
-        # moves[i]: the placements covering cell i in tie-break order: vertical
-        # dominoes, horizontal, then wraps; then line, offset, edge id
-        moves: list[list[tuple]] = [[] for _ in range(board.area)]
-        for *_key, eid in sorted((2 if line == 0 else 0 if axis == "h" else 1, line, offset, eid)
-                                for eid, (axis, line, offset, _cells) in enumerate(edges)):
-            i, j = bits[eid]
-            moves[i].append(plcs[eid])
-            moves[j].append(plcs[eid])
-        self.moves = tuple(map(tuple, moves))
+        self.curve = curve = [_curve_id(board, axis, line) for axis, line, _offset, _cells in edges]
+        self.bits = bits = []  # the (lower, upper) bits of each edge's cells
+        for _axis, _line, _offset, ((r1, c1), (r2, c2)) in edges:
+            x, y = c1 * a + r1, c2 * a + r2
+            bits.append((x, y) if x < y else (y, x))
+        self.pairs = pairs = [[] for _ in range(_curve_id(board, "v", board.b))]
+        for (i, j), k in zip(bits, curve):
+            pairs[k].append(1 << i | 1 << j)
         self.full = (1 << board.area) - 1
 
+    def moves(self, prune: bool) -> list[list[tuple]]:
+        """moves[i]: the placements whose lower cell is i, in tie-break order.
 
-class _Searcher:
-    def __init__(self, board: BoardSpec, *, fault_free: bool, prune: bool, count_all: bool) -> None:
-        self.board = board
-        self.fault_free = fault_free
-        self.prune = prune and fault_free
-        self.count_all = count_all
-        self.nodes = 0
-        self.pruned = 0
-        self.count = 0
-        self.witness_edges: list[int] | None = None
+        A move is (cells mask, curve bit, edge id, must, near).  When pruning,
+        `must` has the bits of the curves that share a cell with the domino and
+        have no crossing pair above cell i, so the child is cut if one of them
+        is uncrossed; `near` has (curve bit, its pairs above cell i) for the
+        other such curves.  Without pruning both are empty.
+        """
+        bits, curve = self.bits, self.curve
+        cells = range(self.full.bit_length())
+        order: list[list[int]] = [[] for _ in cells]
+        # vertical dominoes, horizontal, then wraps; then line, offset, edge id
+        for *_key, eid in sorted((2 if line == 0 else 0 if axis == "h" else 1, line, offset, eid)
+                                for eid, (axis, line, offset, _cells) in enumerate(self.edges)):
+            order[bits[eid][0]].append(eid)
+        at: list[set[int]] = [set() for _ in cells]  # the curves of the edges at each cell
+        if prune:
+            for (i, j), k in zip(bits, curve):
+                at[i].add(k)
+                at[j].add(k)
+        # the cut sweeps down from the top cell, and each curve's pairs above it
+        # grow in order of lower cell, highest first: the sweep covers low bits
+        # first, so free pairs are likelier among the high ones
+        above: list[list[int]] = [[] for _ in self.pairs]
+        entry: list[tuple | None] = [None] * len(above)  # (curve bit, its pairs above), shared
+        moves: list[list[tuple]] = [[] for _ in cells]
+        for i in reversed(cells):
+            for eid in order[i]:
+                j = bits[eid][1]
+                k = curve[eid]
+                must = 0
+                near = []
+                for c in at[i] | at[j]:
+                    if c == k:
+                        continue
+                    if not above[c]:
+                        must |= 1 << c
+                        continue
+                    if entry[c] is None:
+                        entry[c] = (1 << c, tuple(above[c]))
+                    near.append(entry[c])
+                moves[i].append((1 << i | 1 << j, 1 << k, eid, must, tuple(near)))
+            for mask, _bit, eid, _must, _near in moves[i]:  # pairs with lower cell i lie above lower cuts
+                above[curve[eid]].append(mask)
+                entry[curve[eid]] = None
+        return moves
 
-    def run(self) -> bool:
-        """Traverse the whole (pruned) space; True when a tiling was found."""
-        if self.board.area % 2:
-            return False
-        geo = self.geo = _Geometry(self.board)
-        if self.prune and not all(geo.pairs):
-            return False
-        self.all_crossed = (1 << len(geo.pairs)) - 1
-        return self._rec(0, 0)
 
-    def _rec(self, cover: int, crossed: int) -> bool:
-        geo = self.geo
-        if cover == geo.full:
-            if self.fault_free and crossed != self.all_crossed:
-                return False
-            if self.count_all:
-                self.count += 1
-                return False
-            self.witness_edges = []
-            return True
-        self.nodes += 1
-        pruning = self.prune
-        first_free = (~cover & (cover + 1)).bit_length() - 1  # the lowest zero bit
-        for mask, bit, eid, near in geo.moves[first_free]:
+def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool, first: bool) -> tuple:
+    """Walk the (pruned) search tree; stop at the first tiling when `first`.
+
+    Returns (tilings found, nodes, pruned children, the found tiling's edge records).
+    """
+    if board.area % 2:
+        return 0, 0, 0, []
+    geo = _Geometry(board)
+    prune = prune and fault_free
+    if prune and not all(geo.pairs):  # a curve no domino crosses: no tiling is fault-free
+        return 0, 0, 0, []
+    moves, full = geo.moves(prune), geo.full
+    need = (1 << len(geo.pairs)) - 1 if fault_free else 0  # the curves a leaf must cross
+    nodes = pruned = count = 0
+    path: list[int] = []  # the found branch's edge ids, collected as it unwinds
+
+    def grow(cover: int, crossed: int) -> bool:
+        nonlocal nodes, pruned, count
+        nodes += 1
+        # every cell below the lowest free one is covered: try dominoes from there
+        for mask, bit, eid, must, near in moves[(~cover & (cover + 1)).bit_length() - 1]:
             if mask & cover:
                 continue
             child = cover | mask
             now = crossed | bit
-            if pruning:
-                dead = False
-                for k, pairs in near:
-                    if not now & k:
-                        for p in pairs:
-                            if not p & child:
-                                break
-                        else:  # curve k is uncrossed and has no free crossing pair
-                            dead = True
+            if must & ~now:
+                pruned += 1
+                continue
+            for k, pairs in near:
+                if not now & k:
+                    for p in pairs:
+                        if not p & child:
                             break
-                if dead:
-                    self.pruned += 1
-                    continue
-            if self._rec(child, now):
-                self.witness_edges.append(eid)  # the path is collected as the found branch unwinds
-                return True
+                    else:  # curve k is uncrossed and has no free crossing pair
+                        pruned += 1
+                        break
+            else:
+                if child == full:
+                    if not need & ~now:
+                        count += 1
+                        if first:
+                            path.append(eid)
+                            return True
+                elif grow(child, now):
+                    path.append(eid)
+                    return True
         return False
 
-    def witness(self) -> Tiling:
-        records = (self.geo.edges[eid] for eid in self.witness_edges)
-        return Tiling(self.board, frozenset(Placement(CrossingEdge(axis, line, offset), cells)
-                                            for axis, line, offset, cells in records))
+    grow(0, 0)
+    del grow  # the closure refers to itself; unlink it so the tables are freed at once
+    return count, nodes, pruned, [geo.edges[eid] for eid in path]
 
 
 def _search(board: BoardSpec, *, fault_free: bool, prune: bool) -> SearchOutcome:
     """Run one search and re-verify its witness in the search's own mode."""
-    s = _Searcher(board, fault_free=fault_free, prune=prune, count_all=False)
-    if not s.run():
-        return SearchOutcome(EXHAUSTED, None, s.nodes, s.pruned)
-    witness = s.witness()
+    found, nodes, pruned, records = _traverse(board, fault_free=fault_free, prune=prune, first=True)
+    if not found:
+        return SearchOutcome(EXHAUSTED, None, nodes, pruned)
+    witness = Tiling(board, frozenset(Placement(CrossingEdge(axis, line, offset), cells)
+                                      for axis, line, offset, cells in records))
     report = verify(board, witness)
     if not (report.fault_free if fault_free else report.matching_valid):
         raise InvariantError(f"search returned a tiling of {board} that fails verification")
-    return SearchOutcome(FOUND, witness, s.nodes, s.pruned)
+    return SearchOutcome(FOUND, witness, nodes, pruned)
 
 
 def find_tiling(board: BoardSpec) -> SearchOutcome:
@@ -159,9 +193,7 @@ def count_tilings(board: BoardSpec) -> int:
 
     Parallel edges between the same cell pair count separately.
     """
-    s = _Searcher(board, fault_free=False, prune=False, count_all=True)
-    s.run()
-    return s.count
+    return _traverse(board, fault_free=False, prune=False, first=False)[0]
 
 
 def find_fault_free(board: BoardSpec, *, prune: bool = True) -> SearchOutcome:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import random
 import subprocess
 import sys
 import textwrap
@@ -9,8 +11,11 @@ import textwrap
 import pytest
 
 from fault_atlas import (
+    CrossingEdge,
     OracleRangeError,
+    Topology,
     build_board,
+    curve_of,
     count_tilings,
     fault_curves,
     fault_free_exists_oracle,
@@ -160,3 +165,51 @@ def test_search_builds_no_board_table(monkeypatch):
         assert count_tilings(board) > 0
     assert (placements.cache_info(), fault_curves.cache_info()) == tables
     assert len(built) == 6  # one geometry per search, none kept
+
+
+def test_searches_leave_no_reference_cycles():
+    # a board's tables are freed when its search returns, not by the cycle collector
+    boards = [build_board(topo, a, b) for topo in Topology for a, b in ((4, 3), (2, 6))]
+    gc.collect()
+    gc.disable()
+    try:
+        for board in boards:
+            for run in (find_fault_free, find_tiling, count_tilings):
+                run(board)
+                assert gc.collect() == 0, (run.__name__, board)
+    finally:
+        gc.enable()
+
+
+def test_narrowed_prune_data_equals_the_full_rule():
+    """Each move sits at its lower cell, and must/near decide as the full fault-curve rule does."""
+    rng = random.Random(14)
+    for board in boards_upto(24, max_area=24):
+        a = board.a
+        geo = _Geometry(board)
+        moves = geo.moves(True)
+        curve_pairs = {c.id: [sum(1 << (col * a + r) for r, col in p.cells)
+                              for p in placements(board) if p.edge in c.crossing_edges]
+                       for c in fault_curves(board)}
+        curve_at = [set() for _ in range(board.area)]  # curves with a crossing edge at each cell
+        for p in placements(board):
+            for r, col in p.cells:
+                curve_at[col * a + r].add(curve_of(board, p.edge).id)
+        assert sorted(eid for row in moves for *_m, eid, _must, _near in row) == list(range(len(geo.edges)))
+        for i, row in enumerate(moves):
+            for mask, bit, eid, must, near in row:
+                axis, line, offset, cells = geo.edges[eid]
+                j = mask.bit_length() - 1
+                assert mask & -mask == 1 << i and j > i and mask == sum(1 << (col * a + r) for r, col in cells)
+                k = curve_of(board, CrossingEdge(axis, line, offset)).id
+                assert bit == 1 << k
+                nearby = (curve_at[i] | curve_at[j]) - {k}
+                free = [n for n in range(i + 1, board.area) if n != j]
+                for _ in range(6):  # every cell below i covered, the rest at random
+                    cover = (1 << i) - 1 | sum(1 << n for n in free if rng.random() < 0.5)
+                    crossed = rng.getrandbits(len(curve_pairs)) if rng.random() < 0.7 else 0
+                    child, now = cover | mask, crossed | bit
+                    narrowed = bool(must & ~now) or any(
+                        not now & c and all(p & child for p in pairs) for c, pairs in near)
+                    full = any(not now & 1 << c and all(p & child for p in curve_pairs[c]) for c in nearby)
+                    assert narrowed == full, (board, eid, cover, crossed)

@@ -57,7 +57,7 @@ class TestWitness:
             raise AssertionError("witness() ran a search")
 
         _base_witness.cache_clear()
-        monkeypatch.setattr("fault_atlas.search._Searcher.run", no_search)
+        monkeypatch.setattr("fault_atlas.search._traverse", no_search)
         try:
             for topo in Topology:
                 for a in range(1, 25):
