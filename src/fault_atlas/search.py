@@ -89,11 +89,11 @@ class _Geometry:
             for (i, j), k in zip(bits, curve):
                 at[i].add(k)
                 at[j].add(k)
-        # the cut sweeps down from the top cell, and each curve's pairs above it
-        # grow in order of lower cell, highest first: the sweep covers low bits
-        # first, so free pairs are likelier among the high ones
+        # The cut moves down from the top cell.  above[c] holds curve c's pairs
+        # above the cut, highest lower cell first: the search covers low bits
+        # first, so free pairs are likelier among the high ones.
         above: list[list[int]] = [[] for _ in self.pairs]
-        entry: list[tuple | None] = [None] * len(above)  # (curve bit, its pairs above), shared
+        entry: list[tuple | None] = [None] * len(above)  # (curve bit, above[c] frozen), shared
         moves: list[list[tuple]] = [[] for _ in cells]
         for i in reversed(cells):
             for eid in order[i]:

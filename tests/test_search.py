@@ -15,8 +15,8 @@ from fault_atlas import (
     OracleRangeError,
     Topology,
     build_board,
-    curve_of,
     count_tilings,
+    curve_of,
     fault_curves,
     fault_free_exists_oracle,
     find_fault_free,
@@ -195,7 +195,7 @@ def test_narrowed_prune_data_equals_the_full_rule():
         for p in placements(board):
             for r, col in p.cells:
                 curve_at[col * a + r].add(curve_of(board, p.edge).id)
-        assert sorted(eid for row in moves for *_m, eid, _must, _near in row) == list(range(len(geo.edges)))
+        assert sorted(move[2] for row in moves for move in row) == list(range(len(geo.edges)))
         for i, row in enumerate(moves):
             for mask, bit, eid, must, near in row:
                 axis, line, offset, cells = geo.edges[eid]
