@@ -7,14 +7,13 @@ bottom, column index b ascending left to right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import classify
 from .topology import Topology, build_board
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     topology: Topology
     max_a: int
     max_b: int

@@ -22,7 +22,7 @@ trusted from citation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantError
 from .topology import BoardSpec, Topology, build_board
@@ -32,8 +32,7 @@ REASON_DEGENERATE = "degenerate"
 REASON_RULE = "rule-family"
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One classification rule: a base board grown by fixed steps, with a fixed verdict."""
 
     id: str
@@ -51,8 +50,7 @@ def _fits(side: int, base: int, step: int) -> bool:
     return side == base or (step > 0 and side > base and (side - base) % step == 0)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     tileable: bool
     reason: str
     family_id: str

@@ -161,7 +161,10 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     from .expansion import _grow
 
     tiling = _read_witness(args.witness_file)
-    if not verify(tiling.board, tiling).fault_free:
+    board = tiling.board
+    rows = 2 if args.axis == "rows" else 0  # the grown board has two more rows or two more columns
+    _within_ceiling(build_board(board.topology, board.a + rows, board.b + 2 - rows))
+    if not verify(board, tiling).fault_free:
         print("witness fails verification; cannot expand", file=sys.stderr)
         return EXIT_VERIFY
     try:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .tiling import Tiling
@@ -51,8 +50,7 @@ class Variable(NamedTuple):
         return f"{self.kind}[{self.key}]"
 
 
-@dataclass(frozen=True)
-class ParitySystem:
+class ParitySystem(NamedTuple):
     """GF(2) equations, coverage groups, and caps over a board's profile.
 
     The variables come in sweep order: rows, then the seam, then the columns;
@@ -94,8 +92,7 @@ class ParitySystem:
         return out
 
 
-@dataclass(frozen=True)
-class CrossingProfile:
+class CrossingProfile(NamedTuple):
     x: dict[int, int]
     y: dict[int, int]
     u: dict[frozenset, int]
@@ -112,8 +109,7 @@ class CrossingProfile:
         return values
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     """The counting verdict.
 
     reachable holds the maximal runs lo, lo+2, ..., hi of reachable totals as

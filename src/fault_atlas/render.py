@@ -73,9 +73,20 @@ _V_FILL = "#a9dfbf"
 _WRAP_STOPS = ("#f7dc6f", "#e67e22")
 
 
+def _num(x: float) -> str:
+    """A coordinate, exact up to 10 significant digits; ":g" keeps 6, too few past 1e5."""
+    return format(x, ".10g")
+
+
 def _rect(x: float, y: float, w: float, h: float, fill: str) -> str:
-    return (f'  <rect x="{x:g}" y="{y:g}" width="{w:g}" height="{h:g}" rx="6" '
+    return (f'  <rect x="{_num(x)}" y="{_num(y)}" width="{_num(w)}" height="{_num(h)}" rx="6" '
             f'fill="{fill}" stroke="#34495e" stroke-width="1.5"/>')
+
+
+def _guide(x1: float, y1: float, x2: float, y2: float) -> str:
+    """A dashed fault-curve guide."""
+    return (f'  <line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}" '
+            'stroke="#e74c3c" stroke-width="1" stroke-dasharray="6 4"/>')
 
 
 def svg_render(tiling: Tiling) -> str:
@@ -123,20 +134,12 @@ def svg_render(tiling: Tiling) -> str:
     for curve in fault_curves(board):
         for line in sorted(curve.lines):
             if curve.axis == "horizontal":
-                y = cy(line)
-                out.append(f'  <line x1="{_MARGIN}" y1="{y:g}" x2="{_MARGIN + b * _CELL}" y2="{y:g}" '
-                           'stroke="#e74c3c" stroke-width="1" stroke-dasharray="6 4"/>')
+                out.append(_guide(cx(0), cy(line), cx(b), cy(line)))
                 if line == 0:  # glued row edge appears at top and bottom
-                    y2 = cy(a)
-                    out.append(f'  <line x1="{_MARGIN}" y1="{y2:g}" x2="{_MARGIN + b * _CELL}" y2="{y2:g}" '
-                               'stroke="#e74c3c" stroke-width="1" stroke-dasharray="6 4"/>')
+                    out.append(_guide(cx(0), cy(a), cx(b), cy(a)))
             else:
-                x = cx(line if line != 0 else 0)
-                out.append(f'  <line x1="{x:g}" y1="{_MARGIN}" x2="{x:g}" y2="{_MARGIN + a * _CELL}" '
-                           'stroke="#e74c3c" stroke-width="1" stroke-dasharray="6 4"/>')
+                out.append(_guide(cx(line), cy(0), cx(line), cy(a)))
                 if line == 0:  # the seam appears on both sides of the picture
-                    x2 = cx(b)
-                    out.append(f'  <line x1="{x2:g}" y1="{_MARGIN}" x2="{x2:g}" y2="{_MARGIN + a * _CELL}" '
-                               'stroke="#e74c3c" stroke-width="1" stroke-dasharray="6 4"/>')
+                    out.append(_guide(cx(b), cy(0), cx(b), cy(a)))
     out.append("</svg>")
     return "\n".join(out) + "\n"

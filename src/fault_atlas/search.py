@@ -29,7 +29,7 @@ data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantError, OracleRangeError
 from .tiling import Tiling, verify
@@ -41,8 +41,7 @@ EXHAUSTED = "exhausted-none"
 ORACLE_CEILING = 48
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: str  # found | exhausted-none: the search always runs to completion
     witness: Tiling | None
     nodes: int

@@ -14,10 +14,9 @@ therefore does work in proportion to the document, whatever board it claims;
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidWitnessError, WitnessDecodeError
 from .topology import (
@@ -35,8 +34,7 @@ from .topology import (
 EdgeKey = tuple[str, int, int]  # (axis, line, offset) of a domino's crossing edge
 
 
-@dataclass(frozen=True)
-class Tiling:
+class Tiling(NamedTuple):
     """A set of placements claimed to be a perfect, fault-free cover."""
 
     board: BoardSpec
@@ -50,8 +48,7 @@ def _edge_keys(tiling: Tiling) -> frozenset[EdgeKey]:
     return frozenset(map(_edge_key, tiling.dominoes))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     matching_valid: bool
     uncovered_cells: tuple[Cell, ...]
     doubly_covered_cells: tuple[Cell, ...]

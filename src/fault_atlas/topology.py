@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidDimensionError
@@ -55,19 +54,12 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class BoardSpec:
-    """A board: topology plus height a (rows) and width b (columns)."""
+class BoardSpec(NamedTuple):
+    """A board: topology plus height a (rows) and width b (columns), validated by build_board."""
 
     topology: Topology
     a: int
     b: int
-
-    def __post_init__(self) -> None:
-        if not (_is_int(self.a) and _is_int(self.b)):
-            raise InvalidDimensionError(f"dimensions must be integers, got {self.a!r} x {self.b!r}")
-        if self.a < 1 or self.b < 1:
-            raise InvalidDimensionError(f"dimensions must be >= 1, got {self.a} x {self.b}")
 
     @property
     def area(self) -> int:
@@ -120,8 +112,7 @@ class Placement(NamedTuple):
         return self.edge.line == 0
 
 
-@dataclass(frozen=True)
-class FaultCurve:
+class FaultCurve(NamedTuple):
     """A fold locus: the grid lines it consists of and their crossing edges."""
 
     id: int
@@ -136,7 +127,12 @@ class FaultCurve:
 
 def build_board(topology: Topology | str, a: int, b: int) -> BoardSpec:
     """Construct a validated board; raises InvalidDimensionError on bad dims."""
-    return BoardSpec(Topology(topology), a, b)
+    topology = Topology(topology)
+    if not (_is_int(a) and _is_int(b)):
+        raise InvalidDimensionError(f"dimensions must be integers, got {a!r} x {b!r}")
+    if a < 1 or b < 1:
+        raise InvalidDimensionError(f"dimensions must be >= 1, got {a} x {b}")
+    return BoardSpec(topology, a, b)
 
 
 def cell_color(board: BoardSpec, cell: Cell) -> int:

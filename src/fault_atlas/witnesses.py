@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .classify import base_boards, classify, matching_tileable_families
 from .errors import (ExpansionFailedError, InvalidWitnessError, InvariantError, WitnessDecodeError,
@@ -72,8 +72,7 @@ def default_store(explicit: "str | Path | None" = None) -> WitnessStore | None:
     return None
 
 
-@dataclass(frozen=True)
-class BaseCase:
+class BaseCase(NamedTuple):
     board: BoardSpec
     witness: Tiling
 

@@ -210,6 +210,14 @@ class TestAreaCeiling:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.count("\n") == 1 and f"above the ceiling of {MAX_AREA}" in done.stderr
 
+    def test_expand_past_the_ceiling_exit_2(self, capsys, tmp_path):
+        # the grown board is checked before the input is verified, so this costs nothing
+        wfile = tmp_path / "edge.json"
+        wfile.write_text('{"topology":"rectangle","a":512,"b":512,"dominoes":[]}', encoding="utf-8")
+        code, out, err = run(capsys, "expand", str(wfile), "--axis", "rows")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert f"rectangle 514x512 has area 263168, above the ceiling of {MAX_AREA}" in err
+
     def test_long_cylinder_at_the_ceiling_solves(self, tmp_path):
         # 32,765 double columns from the 4'x6 base: one cut per axis keeps this linear.
         out = tmp_path / "long.json"

@@ -30,12 +30,15 @@ def child(script: str, *argv: str) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+# "modules" is what the command loaded: whatever `site` loaded before it does not count.
 CLI = """
-    import contextlib, io, json, sys
+    import sys
+    before = set(sys.modules)
+    import contextlib, io, json
     from fault_atlas.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(sys.argv[1:])
-    print(json.dumps({"code": code, "modules": sorted(m for m in sys.modules if m.startswith("fault_atlas"))}))
+    print(json.dumps({"code": code, "modules": sorted(set(sys.modules) - before)}))
 """
 
 
@@ -54,6 +57,21 @@ def test_warm_commands_load_only_what_they_run(filled_cache):
         ran = child(CLI, *argv)
         assert ran["code"] == 0
         assert UNUSED_WHEN_WARM.isdisjoint(ran["modules"]), (argv, ran["modules"])
+
+
+def test_no_command_loads_dataclasses(filled_cache, tmp_path):
+    # every record is a named tuple; `dataclasses` would pull in inspect, ast, dis and tokenize
+    doc = str(tmp_path / "witness.json")
+    assert main(["solve", "--topology", "mobius", "--a", "5", "--b", "6", "--out", doc]) == 0
+    board = ["--topology", "torus", "--a", "8", "--b", "7"]
+    commands = [*filled_cache, ["classify", *board, "--explain"], ["bound", *board],
+                ["solve", *board], ["solve", *board, "--format", "ascii"], ["solve", *board, "--format", "svg"],
+                ["census", "--topology", "mobius", "--max", "6"], ["verify", doc],
+                ["expand", doc, "--axis", "cols"], ["render", doc, "--format", "svg"]]
+    for argv in commands:
+        ran = child(CLI, *argv)
+        assert ran["code"] == 0, argv
+        assert "dataclasses" not in ran["modules"], argv
 
 
 def test_bound_loads_counting():

@@ -2,10 +2,34 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from fault_atlas import ascii_render, build_board, find_fault_free, svg_render, witness
+
+# SHA-256 of the ascii and svg renderings of one witness per topology; the
+# cylinder, torus and Moebius ones have seam tiles, the torus a glued-row tile.
+RENDER_SHA256 = {
+    ("rectangle", 5, 6): ("46fa008b1956057de1925fac98ceca39c42c2b53b3f64e6999537dafb43567aa",
+                          "4f9306c5b7e212e3f9918e4fd43d8301479b033687f953efd1ed9a366950e245"),
+    ("cylinder", 6, 7): ("a872ebf744a3c26c74741fa85b02b45551543a7d1f6f9efdf579659ecc244cb2",
+                         "578b151d936f62a6fc8755cd48ea9400dac34160fbc7a825b1b73ad151e71a87"),
+    ("torus", 8, 7): ("15cd799b2e334f4f80eae2635f27e588a4612b83dfc50a703770c87ef9c2c377",
+                      "bbadbf22a754fdb9b6aeb43c4cfb9bf31f39bd5d93067924dc7131a0e8d49a60"),
+    ("mobius", 5, 6): ("d78516581f375cc498d4896e65a556daf9ff4c9d26f67eecc9ed65eb1534dcf4",
+                       "2b24828b32340d9ba6bca7463f39d77c78b620899a9a900529947932c6d1dbdd"),
+}
+
+
+@pytest.mark.parametrize("dims", sorted(RENDER_SHA256))
+def test_render_bytes_match_pinned_digests(dims):
+    w = witness(build_board(*dims))
+    digests = tuple(hashlib.sha256(render(w).encode("utf-8")).hexdigest()
+                    for render in (ascii_render, svg_render))
+    assert digests == RENDER_SHA256[dims]
 
 
 def _interior_wall_rows(text: str, a: int, b: int) -> list[str]:
@@ -67,3 +91,13 @@ class TestSvg:
         ET.fromstring(doc)
         # pair {1,3} draws 2 guides, self line {2} one; seam twice, lines 1..2 once each
         assert doc.count("stroke-dasharray") == 7
+
+    def test_coordinates_exact_on_long_boards(self):
+        # from about 3,125 cells on, coordinates pass 1e5 and need more than six significant digits
+        w = witness(build_board("cylinder", 4, 3200))
+        doc = svg_render(w)
+        xs = [float(x) for x in re.findall(r'<rect x="([^"]+)"[^>]* rx="6"', doc)]
+        assert len(xs) == len(w.dominoes) + sum(p.is_wrap for p in w.dominoes)  # wrap tiles twice
+        assert all((x - 26.5) % 32 == 0 for x in xs)
+        guides = [float(x) for x in re.findall(r'<line x1="([^"]+)"', doc)]
+        assert max(guides) == 24 + 3200 * 32

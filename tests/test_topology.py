@@ -13,12 +13,21 @@ from fault_atlas import (
     InvalidDimensionError,
     Placement,
     Topology,
+    base_cases,
     build_board,
+    build_chart,
+    build_parity_system,
     cell_color,
+    classify,
+    counting_feasible,
     curve_of,
     fault_curves,
+    find_fault_free,
     placements,
+    profile_of,
+    verify,
 )
+from fault_atlas.classify import FAMILIES
 from fault_atlas.topology import _curve_id, _edge_cells
 from conftest import boards_upto, walk_horizontal_locus
 
@@ -206,6 +215,19 @@ def test_records_equal_and_hash_as_their_field_tuples(topo):
                 edge.line = 0
             with pytest.raises(AttributeError):
                 p.cells = p.cells[::-1]
+    # Every other public record too; the ones holding a dict have no hash.
+    case = base_cases(topo)[0]
+    board, tiling = case.board, case.witness
+    records = [board, fault_curves(board)[0], tiling, verify(board, tiling), classify(board),
+               FAMILIES[topo][0], find_fault_free(board), build_parity_system(board),
+               profile_of(board, tiling), counting_feasible(board), case, build_chart(topo, 4)]
+    for record in records:
+        fields = tuple(record)
+        assert type(fields) is tuple and record == fields and len(fields) == len(record._fields)
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        if not any(isinstance(field, dict) for field in fields):
+            assert hash(record) == hash(fields)
 
 
 def test_every_memo_is_bounded():
