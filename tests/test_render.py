@@ -99,5 +99,3 @@ class TestSvg:
         xs = [float(x) for x in re.findall(r'<rect x="([^"]+)"[^>]* rx="6"', doc)]
         assert len(xs) == len(w.dominoes) + sum(p.is_wrap for p in w.dominoes)  # wrap tiles twice
         assert all((x - 26.5) % 32 == 0 for x in xs)
-        guides = [float(x) for x in re.findall(r'<line x1="([^"]+)"', doc)]
-        assert max(guides) == 24 + 3200 * 32
