@@ -87,14 +87,12 @@ def _bound_text(board) -> str:
     from .counting import counting_feasible
 
     report = counting_feasible(board)
-    lines = []
     if report.status == "odd-area":
-        lines.append(f"min required n/a, capacity n/a, infeasible (odd area {board.area})")
-        return "\n".join(lines) + "\n"
+        return f"min required n/a, capacity n/a, infeasible (odd area {board.area})\n"
     verdict = "feasible" if report.feasible else "infeasible"
     shown_min = report.min_required if report.min_required is not None else "n/a"
-    lines.append(f"min required {shown_min}, capacity {report.capacity}, {verdict}")
-    lines.append(f"parity classes examined: {report.parity_classes_examined}")
+    lines = [f"min required {shown_min}, capacity {report.capacity}, {verdict}",
+             f"parity classes examined: {report.parity_classes_examined}"]
     for lo, hi in report.reachable[:16]:
         lines.append(f"  reachable totals: {lo}..{hi} step 2")
     if len(report.reachable) > 16:
@@ -158,17 +156,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    from .expansion import _grow
+    from .expansion import expand
 
     tiling = _read_witness(args.witness_file)
     board = tiling.board
     rows = 2 if args.axis == "rows" else 0  # the grown board has two more rows or two more columns
     _within_ceiling(build_board(board.topology, board.a + rows, board.b + 2 - rows))
-    if not verify(board, tiling).fault_free:
+    try:
+        grown = expand(tiling, args.axis)
+    except ValueError:  # argparse fixes the axis, so the input did not verify
         print("witness fails verification; cannot expand", file=sys.stderr)
         return EXIT_VERIFY
-    try:
-        grown = _grow(tiling, args.axis)  # the input was verified just above
     except ExpansionFailedError as exc:
         raise _CliError(EXIT_INVALID, str(exc)) from exc
     _write_out(encode(grown), args.out)

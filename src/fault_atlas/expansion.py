@@ -176,20 +176,15 @@ def _grow_keys(board: BoardSpec, keys: frozenset[EdgeKey],
     return cut.grown_board(k), frozenset(cut._rebuild(cut.search(), k))
 
 
-def _grow(tiling: Tiling, axis: str) -> Tiling:
-    """The cut search on a tiling that verifies fault-free; placements are built once, for the result."""
-    return tiling_from_edges(*_grow_keys(tiling.board, _edge_keys(tiling), axis, 1))
-
-
 def expand(tiling: Tiling, axis: str) -> Tiling:
     """Return a verified fault-free tiling on (a+2) x b or a x (b+2).
 
-    Raises ExpansionFailedError when no verifying cut path exists within the
-    search budget; witness() then tries the board's next family chain.  The
-    input must itself verify fault-free.
+    Raises ValueError for a bad axis or an input that does not verify
+    fault-free, and ExpansionFailedError when no verifying cut path exists
+    within the search budget (a 1 x 2 board has none).
     """
     if axis not in (ROWS, COLS):
         raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
     if not verify(tiling.board, tiling).fault_free:
         raise ValueError("expansion input must verify fault-free")
-    return _grow(tiling, axis)
+    return tiling_from_edges(*_grow_keys(tiling.board, _edge_keys(tiling), axis, 1))

@@ -14,12 +14,12 @@ two copies read as a single tile.  Fault-curve positions are dashed guides.
 from __future__ import annotations
 
 from .tiling import Tiling
-from .topology import fault_curves
+from .topology import _curve_id, _fold_lines
 
 
 def _tile_map(tiling: Tiling) -> dict[tuple[int, int], int]:
     owner = {}
-    for i, p in enumerate(sorted(tiling.dominoes, key=lambda p: p.edge.key())):
+    for i, p in enumerate(sorted(tiling.dominoes)):
         for cell in p.cells:
             owner[cell] = i
     return owner
@@ -47,8 +47,8 @@ def ascii_render(tiling: Tiling) -> str:
     for r in range(a):
         grid[2 * r + 1][0] = "|"
         grid[2 * r + 1][2 * b] = "|"
-    for p in sorted(tiling.dominoes, key=lambda p: p.edge.key()):
-        axis, line, _off = p.edge.key()
+    for p in sorted(tiling.dominoes):
+        axis, line, _off = p.edge
         if line != 0:
             continue
         if axis == "v":
@@ -99,7 +99,7 @@ def svg_render(tiling: Tiling) -> str:
         f'width="{width}" height="{height}">',
         "  <defs>",
     ]
-    dominoes = sorted(tiling.dominoes, key=lambda p: p.edge.key())
+    dominoes = sorted(tiling.dominoes)
     for i, p in enumerate(dominoes):
         if p.is_wrap:
             out.append(
@@ -131,9 +131,9 @@ def svg_render(tiling: Tiling) -> str:
             fill = f"url(#wrap{i})"
             for (r, c) in p.cells:
                 out.append(_rect(cx(c) + pad, cy(r) + pad, _CELL - 2 * pad, _CELL - 2 * pad, fill))
-    for curve in fault_curves(board):
-        for line in sorted(curve.lines):
-            if curve.axis == "horizontal":
+    for axis in ("h", "v"):  # guides in fault-curve order, a Moebius curve's two lines together
+        for line in sorted(_fold_lines(board, axis), key=lambda n: (_curve_id(board, axis, n), n)):
+            if axis == "h":
                 out.append(_guide(cx(0), cy(line), cx(b), cy(line)))
                 if line == 0:  # glued row edge appears at top and bottom
                     out.append(_guide(cx(0), cy(a), cx(b), cy(a)))

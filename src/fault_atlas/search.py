@@ -32,8 +32,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InvariantError, OracleRangeError
-from .tiling import Tiling, verify
-from .topology import BoardSpec, CrossingEdge, Placement, _curve_id, _edges
+from .tiling import Tiling, tiling_from_edges, verify
+from .topology import BoardSpec, _curve_id, _edges
 
 FOUND = "found"
 EXHAUSTED = "exhausted-none"
@@ -119,7 +119,7 @@ class _Geometry:
 def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool, first: bool) -> tuple:
     """Walk the (pruned) search tree; stop at the first tiling when `first`.
 
-    Returns (tilings found, nodes, pruned children, the found tiling's edge records).
+    Returns (tilings found, nodes, pruned children, the found tiling's edge keys).
     """
     if board.area % 2:
         return 0, 0, 0, []
@@ -166,16 +166,15 @@ def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool, first: bool) -
 
     grow(0, 0)
     del grow  # the closure refers to itself; unlink it so the tables are freed at once
-    return count, nodes, pruned, [geo.edges[eid] for eid in path]
+    return count, nodes, pruned, [geo.edges[eid][:3] for eid in path]
 
 
 def _search(board: BoardSpec, *, fault_free: bool, prune: bool) -> SearchOutcome:
     """Run one search and re-verify its witness in the search's own mode."""
-    found, nodes, pruned, records = _traverse(board, fault_free=fault_free, prune=prune, first=True)
+    found, nodes, pruned, keys = _traverse(board, fault_free=fault_free, prune=prune, first=True)
     if not found:
         return SearchOutcome(EXHAUSTED, None, nodes, pruned)
-    witness = Tiling(board, frozenset(Placement(CrossingEdge(axis, line, offset), cells)
-                                      for axis, line, offset, cells in records))
+    witness = tiling_from_edges(board, keys)
     report = verify(board, witness)
     if not (report.fault_free if fault_free else report.matching_valid):
         raise InvariantError(f"search returned a tiling of {board} that fails verification")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from itertools import repeat
-from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidWitnessError, WitnessDecodeError
@@ -41,11 +40,8 @@ class Tiling(NamedTuple):
     dominoes: frozenset[Placement]
 
 
-_edge_key = attrgetter("edge")  # a CrossingEdge is its own (axis, line, offset) key
-
-
 def _edge_keys(tiling: Tiling) -> frozenset[EdgeKey]:
-    return frozenset(map(_edge_key, tiling.dominoes))
+    return frozenset(p.edge for p in tiling.dominoes)  # a CrossingEdge is its own edge key
 
 
 class VerificationReport(NamedTuple):
@@ -132,8 +128,8 @@ _DOMINO = (
 def encode(tiling: Tiling) -> str:
     """Serialize to the canonical witness document (UTF-8 JSON text), dominoes in edge-key order."""
     board = tiling.board
-    rows = [_DOMINO % (*p.edge, *p.cells[0], *p.cells[1])
-            for p in sorted(tiling.dominoes, key=_edge_key)]
+    # a tiling's edges are distinct, so its placements sort by edge key
+    rows = [_DOMINO % (*p.edge, *p.cells[0], *p.cells[1]) for p in sorted(tiling.dominoes)]
     dominoes = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     return _DOCUMENT % (board.topology.value, board.a, board.b, dominoes)
 

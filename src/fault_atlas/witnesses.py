@@ -1,12 +1,12 @@
 """Witness construction: base cases, expansion chains, file cache.
 
-A tileable board's witness comes from the cache, else from its family's
-chain: the base board's witness grown by n double rows in one cut and then
-by m double columns in one cut, trying the shortest chain first.  A family
-whose base is the board itself (1 x 2, say) is a chain of length 0.  Base
-witnesses are checked-in data (`bases.py`), rebuilt and re-verified when
-first loaded; no search runs.  Placements are built once, for the returned
-witness, and every returned tiling has been re-verified.
+A tileable board's witness comes from the cache, else from its nearest
+family (fewest double rows and columns, then lowest id): the base board's
+edge keys grown by n double rows in one cut and then by m double columns in
+one cut.  A family whose base is the board itself (1 x 2, say) is a chain of
+length 0.  Base witnesses are checked-in data (`bases.py`), re-verified when
+first loaded; no search runs.  The grown keys are verified once, and
+placements are built once, for the returned witness.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .classify import base_boards, classify, matching_tileable_families
 from .errors import (ExpansionFailedError, InvalidWitnessError, InvariantError, WitnessDecodeError,
                      WitnessUnavailableError)
 from .expansion import COLS, ROWS, _grow_keys
-from .tiling import EdgeKey, Tiling, _edge_keys, decode_for_board, encode, tiling_from_edges, verify
+from .tiling import EdgeKey, Tiling, _verify_keys, decode_for_board, encode, tiling_from_edges, verify
 from .topology import BoardSpec, Topology, build_board
 
 CACHE_ENV = "FAULT_ATLAS_CACHE"
@@ -78,21 +78,22 @@ class BaseCase(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64)  # one entry per tileable family base, 20 in all
-def _base_witness(board: BoardSpec) -> Tiling:
+def _base_witness(board: BoardSpec) -> frozenset[EdgeKey]:
     from .bases import BASE_KEYS  # imported on first use: a witness read from the store never needs it
 
     try:
-        tiling = tiling_from_edges(board, BASE_KEYS[board.topology.value, board.a, board.b])
+        keys = frozenset(BASE_KEYS[board.topology.value, board.a, board.b])
+        report = _verify_keys(board, keys)
     except (KeyError, InvalidWitnessError) as exc:
         raise InvariantError(f"no base witness for {board}") from exc
-    if not verify(board, tiling).fault_free:
+    if not report.fault_free:
         raise InvariantError(f"base witness for {board} fails verification")
-    return tiling
+    return keys
 
 
 def base_cases(topology: Topology) -> list[BaseCase]:
     """Each expanding tileable family's minimal board with a verified witness."""
-    return [BaseCase(b, _base_witness(b)) for b in base_boards(topology)]
+    return [BaseCase(b, tiling_from_edges(b, _base_witness(b))) for b in base_boards(topology)]
 
 
 def _transpose(board: BoardSpec, keys: frozenset[EdgeKey]) -> Grown:
@@ -103,34 +104,31 @@ def _transpose(board: BoardSpec, keys: frozenset[EdgeKey]) -> Grown:
     return flipped, frozenset(("v" if axis == "h" else "h", line, off) for axis, line, off in keys)
 
 
-def _expansion_chain(board: BoardSpec) -> Tiling | None:
-    """Grow a witness from the nearest family base; None if every path fails."""
-    swapped = board.topology is Topology.TORUS and board.a < board.b
-    options = sorted(matching_tileable_families(board), key=lambda t: (t[1] + t[2], t[0].id))
-    for fam, n, m in options:
-        base = build_board(board.topology, *fam.base)
-        current = base, _edge_keys(_base_witness(base))
-        try:
-            for axis, k in ((ROWS, n), (COLS, m)):
-                if k:
-                    current = _grow_keys(*current, axis, k)
-        except ExpansionFailedError:
-            continue
-        if swapped:
-            current = _transpose(*current)
-        grown, keys = current
-        if grown != board:
-            raise InvariantError(f"chain from {fam.base} grew {grown}, not {board}")
-        return tiling_from_edges(board, keys)
-    return None
+def _expansion_chain(board: BoardSpec) -> frozenset[EdgeKey]:
+    """The edge keys grown from the nearest family base, one cut per axis."""
+    fam, n, m = min(matching_tileable_families(board), key=lambda t: (t[1] + t[2], t[0].id))
+    base = build_board(board.topology, *fam.base)
+    current = base, _base_witness(base)
+    try:
+        for axis, k in ((ROWS, n), (COLS, m)):
+            if k:
+                current = _grow_keys(*current, axis, k)
+    except ExpansionFailedError as exc:
+        raise WitnessUnavailableError(f"the nearest family chain grows no witness for {board}") from exc
+    if board.topology is Topology.TORUS and board.a < board.b:
+        current = _transpose(*current)
+    grown, keys = current
+    if grown != board:
+        raise InvariantError(f"chain from {fam.base} grew {grown}, not {board}")
+    return keys
 
 
 def witness(board: BoardSpec, *, store: WitnessStore | None = None) -> Tiling:
     """A verified fault-free tiling for a board classified tileable.
 
     Raises ValueError for boards that are not fault-free tileable and
-    WitnessUnavailableError when every family chain fails to grow (which is
-    not a negative verdict).
+    WitnessUnavailableError when the nearest family chain fails to grow
+    (which is not a negative verdict).
     """
     verdict = classify(board)
     if not verdict.tileable:
@@ -139,11 +137,10 @@ def witness(board: BoardSpec, *, store: WitnessStore | None = None) -> Tiling:
         cached = store.load(board)
         if cached is not None:
             return cached
-    result = _expansion_chain(board)
-    if result is None:
-        raise WitnessUnavailableError(f"no family chain grows a witness for {board}")
-    if not verify(board, result).fault_free:
+    keys = _expansion_chain(board)
+    if not _verify_keys(board, keys).fault_free:
         raise InvariantError(f"witness for {board} fails verification")
+    result = tiling_from_edges(board, keys)
     if store is not None:
         store.save(result)
     return result

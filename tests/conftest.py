@@ -34,6 +34,19 @@ from fault_atlas import (
 
 ALL_TOPOLOGIES = tuple(Topology)
 
+# Witness documents that are valid JSON but not a witness, with the decode error each raises.
+_ONE_DOMINO = '{"topology": "rectangle", "a": 1, "b": 2, "dominoes": [%s]}'
+MALFORMED_DOCUMENTS = [
+    pytest.param("[1]", "must be a JSON object", id="not-an-object"),
+    pytest.param('{"topology": "rectangle", "a": 1, "b": 2, "dominoes": {}}', "dominoes must be a list",
+                 id="dominoes-not-a-list"),
+    pytest.param(_ONE_DOMINO % "5", "malformed domino entry", id="entry-not-an-object"),
+    pytest.param(_ONE_DOMINO % '{"edge": ["v", 1, 0], "cells": 5}', "malformed cells",
+                 id="cells-not-a-list"),
+    pytest.param(_ONE_DOMINO % '{"edge": ["v", 1, 0], "cells": [[0, 0]]}', "malformed cells",
+                 id="one-cell"),
+]
+
 
 def boards_upto(max_a: int, max_b: int | None = None, *, max_area: int | None = None,
                 topologies=ALL_TOPOLOGIES) -> Iterator[BoardSpec]:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from fault_atlas.cli import MAX_AREA, main
-from conftest import package_env
+from conftest import MALFORMED_DOCUMENTS, package_env
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -64,6 +64,11 @@ class TestBound:
         code, out, _ = run(capsys, "bound", "--topology", "torus", "--a", "4", "--b", "4")
         assert code == 0
         assert "feasible" in out and "infeasible" not in out
+
+    def test_odd_area(self, capsys):
+        code, out, err = run(capsys, "bound", "--topology", "rectangle", "--a", "5", "--b", "5")
+        assert code == 0 and err == ""
+        assert out == "min required n/a, capacity n/a, infeasible (odd area 25)\n"
 
     def test_tall_mobius_feasible(self, capsys):
         code, out, _ = run(capsys, "bound", "--topology", "mobius", "--a", "64", "--b", "65")
@@ -154,6 +159,24 @@ class TestSolveVerifyRenderExpand:
         wfile.write_text("{broken", encoding="utf-8")
         code, _, _ = run(capsys, "render", str(wfile))
         assert code == 2
+
+    @pytest.mark.parametrize("text,message", MALFORMED_DOCUMENTS)
+    def test_malformed_document_exit_2(self, capsys, tmp_path, text, message):
+        wfile = tmp_path / "w.json"
+        wfile.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(wfile))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and message in err
+
+    def test_expand_1x2_exit_2(self, capsys, tmp_path):
+        # the 1 x 2 rectangle has no cut path on either axis
+        wfile = tmp_path / "r12.json"
+        run(capsys, "solve", "--topology", "rectangle", "--a", "1", "--b", "2", "--out", str(wfile))
+        grown = tmp_path / "grown.json"
+        code, out, err = run(capsys, "expand", str(wfile), "--axis", "rows", "--out", str(grown))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "no verifying cut path" in err
+        assert not grown.exists()
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"))

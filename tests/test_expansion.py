@@ -78,6 +78,14 @@ class TestExpand:
         with pytest.raises(ValueError):
             expand(full, "rows")
 
+    @pytest.mark.parametrize("budget,kind", [("_MAX_LEAVES", "leaf"), ("_MAX_NODES", "node")])
+    def test_cut_search_budget(self, monkeypatch, budget, kind):
+        import fault_atlas.expansion as e
+
+        monkeypatch.setattr(e, budget, 0)
+        with pytest.raises(ExpansionFailedError, match=f"{kind} budget exhausted"):
+            expand(_witness("rectangle", 5, 6), "rows")
+
     def test_isolated_1x2_cannot_expand(self):
         board = build_board("rectangle", 1, 2)
         w = find_fault_free(board).witness

@@ -8,7 +8,17 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from fault_atlas import ascii_render, build_board, find_fault_free, svg_render, witness
+from fault_atlas import (
+    Tiling,
+    Topology,
+    ascii_render,
+    build_board,
+    fault_curves,
+    find_fault_free,
+    placements,
+    svg_render,
+    witness,
+)
 
 # SHA-256 of the ascii and svg renderings of one witness per topology; the
 # cylinder, torus and Moebius ones have seam tiles, the torus a glued-row tile.
@@ -30,6 +40,15 @@ def test_render_bytes_match_pinned_digests(dims):
     digests = tuple(hashlib.sha256(render(w).encode("utf-8")).hexdigest()
                     for render in (ascii_render, svg_render))
     assert digests == RENDER_SHA256[dims]
+
+
+def test_rendering_builds_no_board_table():
+    tilings = [witness(build_board(*dims)) for dims in sorted(RENDER_SHA256)]
+    tables = (placements.cache_info(), fault_curves.cache_info())
+    for w in tilings:
+        ascii_render(w)
+        svg_render(w)
+    assert (placements.cache_info(), fault_curves.cache_info()) == tables
 
 
 def _interior_wall_rows(text: str, a: int, b: int) -> list[str]:
@@ -91,6 +110,26 @@ class TestSvg:
         ET.fromstring(doc)
         # pair {1,3} draws 2 guides, self line {2} one; seam twice, lines 1..2 once each
         assert doc.count("stroke-dasharray") == 7
+
+    @pytest.mark.parametrize("topo", list(Topology), ids=lambda t: t.value)
+    def test_guides_follow_the_fault_curve_table(self, topo):
+        # the guides' (x1, y1, x2, y2) in cells, in the order fault_curves lists curves and lines
+        def cells(coords):
+            return tuple((float(v) - 24) / 32 for v in coords)
+
+        for a in range(1, 13):
+            for b in range(1, 13):
+                board = build_board(topo, a, b)
+                expected = []
+                for curve in fault_curves(board):
+                    for line in sorted(curve.lines):
+                        if curve.axis == "horizontal":
+                            expected += [(0, line, b, line)] + [(0, a, b, a)] * (line == 0)
+                        else:
+                            expected += [(line, 0, line, a)] + [(b, 0, b, a)] * (line == 0)
+                doc = svg_render(Tiling(board, frozenset()))
+                drawn = re.findall(r'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)"', doc)
+                assert [cells(guide) for guide in drawn] == expected, board
 
     def test_coordinates_exact_on_long_boards(self):
         # from about 3,125 cells on, coordinates pass 1e5 and need more than six significant digits

@@ -27,7 +27,7 @@ from fault_atlas import (
     witness,
 )
 from fault_atlas.tiling import _verify_keys, tiling_from_edges
-from conftest import package_env
+from conftest import MALFORMED_DOCUMENTS, package_env
 
 
 def reference_encode(tiling: Tiling) -> str:
@@ -182,6 +182,11 @@ class TestWitnessFormat:
     def test_deep_nesting_is_not_valid_json(self):
         with pytest.raises(WitnessDecodeError, match="not valid JSON"):
             decode("[" * 200_000 + "]" * 200_000)
+
+    @pytest.mark.parametrize("text,message", MALFORMED_DOCUMENTS)
+    def test_malformed_document_is_a_decode_error(self, text, message):
+        with pytest.raises(WitnessDecodeError, match=message):
+            decode(text)
 
     def test_unknown_edge(self):
         doc = {"topology": "rectangle", "a": 2, "b": 2,

@@ -213,7 +213,7 @@ class TestChainOnEdgeKeys:
         import fault_atlas.witnesses as w
 
         board = build_board(topo, a, b)
-        witness(board)  # loads the base witness, which builds its own placements once
+        witness(board)  # loads the base's edge keys, which builds no placements
         built = []
         grown = []
         real_build, real_grow = w.tiling_from_edges, w._grow_keys
