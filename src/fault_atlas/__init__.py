@@ -29,18 +29,16 @@ __version__ = "0.1.0"
 _HOME = {name: module for module, names in (
     ("charts", "Chart build_chart chart_text"),
     ("classify", "Verdict base_boards classify"),
-    ("counting", "CrossingProfile FeasibilityReport ParitySystem build_parity_system check_profile "
-                 "counting_feasible min_required_tiles profile_of"),
+    ("counting", "FeasibilityReport ParitySystem build_parity_system counting_feasible min_required_tiles"),
     ("errors", "ExpansionFailedError FaultAtlasError InvalidDimensionError InvalidWitnessError "
                "InvariantError OracleRangeError ParitySpaceTooLargeError WitnessDecodeError "
                "WitnessUnavailableError"),
     ("expansion", "expand"),
     ("render", "ascii_render svg_render"),
-    ("search", "SearchOutcome count_tilings fault_free_exists_oracle find_fault_free find_tiling"),
+    ("search", "SearchOutcome fault_free_exists_oracle find_fault_free find_tiling"),
     ("tiling", "Tiling VerificationReport decode decode_for_board encode verify"),
-    ("topology", "BoardSpec CrossingEdge FaultCurve Placement Topology build_board cell_color curve_of "
-                 "fault_curves placements"),
-    ("witnesses", "BaseCase WitnessStore base_cases default_store witness"),
+    ("topology", "BoardSpec CrossingEdge FaultCurve Placement Topology build_board fault_curves placements"),
+    ("witnesses", "WitnessStore default_store witness"),
 ) for name in names.split()}
 
 __all__ = sorted(_HOME)

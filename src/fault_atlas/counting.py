@@ -29,8 +29,7 @@ import functools
 import re
 from typing import NamedTuple
 
-from .tiling import Tiling
-from .topology import BoardSpec, Topology, _fold_lines
+from .topology import BoardSpec, Topology
 
 STATUS_OK = "ok"
 STATUS_ODD_AREA = "odd-area"
@@ -40,14 +39,6 @@ class Variable(NamedTuple):
     kind: str  # "x" | "y" | "s" | "u"
     key: object  # line index for x/y, None for s, frozenset row pair for u
     cap: int
-
-    @property
-    def name(self) -> str:
-        if self.kind == "u":
-            return f"u{sorted(self.key)}"
-        if self.kind == "s":
-            return "s"
-        return f"{self.kind}[{self.key}]"
 
 
 class ParitySystem(NamedTuple):
@@ -65,48 +56,6 @@ class ParitySystem(NamedTuple):
 
     def var_index(self) -> dict[tuple[str, object], int]:
         return {(v.kind, v.key): i for i, v in enumerate(self.variables)}
-
-    def check_values(self, values: dict[tuple[str, object], int]) -> list[str]:
-        """Evaluate all constraints on integer profile values; returns violations."""
-        idx = self.var_index()
-        vec = [0] * len(self.variables)
-        for key, val in values.items():
-            if key not in idx:
-                return [f"unknown variable {key}"]
-            vec[idx[key]] = val
-        out = []
-        for i, var in enumerate(self.variables):
-            if not 0 <= vec[i] <= var.cap:
-                out.append(f"{var.name} = {vec[i]} outside [0, {var.cap}]")
-        odd = sum((val & 1) << i for i, val in enumerate(vec))
-        for mask, rhs in self.equations:
-            if (mask & odd).bit_count() & 1 != rhs:
-                out.append(f"parity equation violated (mask {mask:#x}, rhs {rhs})")
-        for group in self.coverage_groups:
-            if sum(vec[i] for i in group) < 1:
-                names = ", ".join(self.variables[i].name for i in group)
-                out.append(f"fault curve uncovered ({names})")
-        total = sum(vec)
-        if self.board.area % 2 == 0 and total != self.board.capacity:
-            out.append(f"total {total} != capacity {self.board.capacity}")
-        return out
-
-
-class CrossingProfile(NamedTuple):
-    x: dict[int, int]
-    y: dict[int, int]
-    u: dict[frozenset, int]
-    s: int
-
-    def as_values(self, board: BoardSpec) -> dict[tuple[str, object], int]:
-        values: dict[tuple[str, object], int] = {}
-        values.update({("x", line): n for line, n in self.x.items()})
-        values.update({("y", line): n for line, n in self.y.items()})
-        if board.topology is Topology.MOBIUS:
-            values.update({("u", pair): n for pair, n in self.u.items()})
-        elif board.topology.wraps_cols:
-            values[("s", None)] = self.s
-        return values
 
 
 class FeasibilityReport(NamedTuple):
@@ -256,28 +205,3 @@ def min_required_tiles(board: BoardSpec) -> int | None:
         raise ValueError(f"min_required_tiles needs even area, got {board.a}x{board.b}")
     return counting_feasible(board).min_required
 
-
-def profile_of(board: BoardSpec, tiling: Tiling) -> CrossingProfile:
-    """Crossing counts per line / seam / wrap pair for a tiling."""
-    a, topo = board.a, board.topology
-    x = dict.fromkeys(_fold_lines(board, "h"), 0)
-    y = dict.fromkeys(range(1, board.b), 0)
-    u = {frozenset({r, a - 1 - r}): 0 for r in range(a)} if topo is Topology.MOBIUS else {}
-    s = 0
-    for plc in tiling.dominoes:
-        edge = plc.edge
-        if edge.axis == "h":
-            x[edge.line] += 1
-        elif edge.line == 0:
-            s += 1
-            if topo is Topology.MOBIUS:
-                u[frozenset({edge.offset, a - 1 - edge.offset})] += 1
-        else:
-            y[edge.line] += 1
-    return CrossingProfile(x, y, u, s)
-
-
-def check_profile(board: BoardSpec, profile: CrossingProfile) -> list[str]:
-    """All violated necessity constraints (including exact sum); [] if none."""
-    system = build_parity_system(board)
-    return system.check_values(profile.as_values(board))

@@ -1,4 +1,4 @@
-"""Exhaustive backtracking search: tiling existence, counting, fault-free search.
+"""Exhaustive backtracking search: tiling existence and fault-free search.
 
 This is the ground-truth oracle at small sizes, so completeness is the prime
 contract: a search always runs to completion and ends `found` or
@@ -23,7 +23,7 @@ once per board: the nearby curves with no pair above i form one `must` mask
 (the child is cut if one of them is uncrossed), and every other nearby curve
 keeps its pairs above i, highest lower cell first.  Those prefixes are tuples
 shared by every move that needs the same curve with the same pairs.  One
-kernel serves all four searches; the modes without pruning get empty prune
+kernel serves all three searches; the modes without pruning get empty prune
 data.
 """
 
@@ -116,24 +116,24 @@ class _Geometry:
         return moves
 
 
-def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool, first: bool) -> tuple:
-    """Walk the (pruned) search tree; stop at the first tiling when `first`.
+def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool) -> tuple:
+    """Walk the (pruned) search tree up to the first tiling.
 
-    Returns (tilings found, nodes, pruned children, the found tiling's edge keys).
+    Returns (whether a tiling was found, nodes, pruned children, the found tiling's edge keys).
     """
     if board.area % 2:
-        return 0, 0, 0, []
+        return False, 0, 0, []
     geo = _Geometry(board)
     prune = prune and fault_free
     if prune and not all(geo.pairs):  # a curve no domino crosses: no tiling is fault-free
-        return 0, 0, 0, []
+        return False, 0, 0, []
     moves, full = geo.moves(prune), geo.full
     need = (1 << len(geo.pairs)) - 1 if fault_free else 0  # the curves a leaf must cross
-    nodes = pruned = count = 0
+    nodes = pruned = 0
     path: list[int] = []  # the found branch's edge ids, collected as it unwinds
 
     def grow(cover: int, crossed: int) -> bool:
-        nonlocal nodes, pruned, count
+        nonlocal nodes, pruned
         nodes += 1
         # every cell below the lowest free one is covered: try dominoes from there
         for mask, bit, eid, must, near in moves[(~cover & (cover + 1)).bit_length() - 1]:
@@ -155,23 +155,21 @@ def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool, first: bool) -
             else:
                 if child == full:
                     if not need & ~now:
-                        count += 1
-                        if first:
-                            path.append(eid)
-                            return True
+                        path.append(eid)
+                        return True
                 elif grow(child, now):
                     path.append(eid)
                     return True
         return False
 
-    grow(0, 0)
+    found = grow(0, 0)
     del grow  # the closure refers to itself; unlink it so the tables are freed at once
-    return count, nodes, pruned, [geo.edges[eid][:3] for eid in path]
+    return found, nodes, pruned, [geo.edges[eid][:3] for eid in path]
 
 
 def _search(board: BoardSpec, *, fault_free: bool, prune: bool) -> SearchOutcome:
     """Run one search and re-verify its witness in the search's own mode."""
-    found, nodes, pruned, keys = _traverse(board, fault_free=fault_free, prune=prune, first=True)
+    found, nodes, pruned, keys = _traverse(board, fault_free=fault_free, prune=prune)
     if not found:
         return SearchOutcome(EXHAUSTED, None, nodes, pruned)
     witness = tiling_from_edges(board, keys)
@@ -186,21 +184,13 @@ def find_tiling(board: BoardSpec) -> SearchOutcome:
     return _search(board, fault_free=False, prune=False)
 
 
-def count_tilings(board: BoardSpec) -> int:
-    """Exact number of perfect matchings over edge-based placements.
-
-    Parallel edges between the same cell pair count separately.
-    """
-    return _traverse(board, fault_free=False, prune=False, first=False)[0]
-
-
 def find_fault_free(board: BoardSpec, *, prune: bool = True) -> SearchOutcome:
     """Search for a fault-free tiling; exhausted-none means none exists."""
     return _search(board, fault_free=True, prune=prune)
 
 
-def fault_free_exists_oracle(board: BoardSpec, *, ceiling: int = ORACLE_CEILING) -> bool:
+def fault_free_exists_oracle(board: BoardSpec) -> bool:
     """Definitive fault-free tileability by complete enumeration with pruning."""
-    if board.area > ceiling:
-        raise OracleRangeError(f"area {board.area} exceeds oracle ceiling {ceiling}")
+    if board.area > ORACLE_CEILING:
+        raise OracleRangeError(f"area {board.area} exceeds oracle ceiling {ORACLE_CEILING}")
     return find_fault_free(board).status == FOUND

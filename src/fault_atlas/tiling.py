@@ -177,8 +177,8 @@ def decode(text: str) -> Tiling:
             raise WitnessDecodeError(f"duplicate edge id {key}")
         seen.add(key)
         try:
-            (r0, c0), (r1, c1) = cells[0], cells[1]
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            (r0, c0), (r1, c1) = cells
+        except (TypeError, ValueError) as exc:
             raise WitnessDecodeError(f"malformed cells in {entry!r}: {exc}") from exc
         declared = ((r0, c0), (r1, c1))  # in either order, and as ints: true == 1 and 1.0 == 1
         if (expected not in (declared, declared[::-1])

@@ -72,11 +72,6 @@ class BoardSpec(NamedTuple):
             raise ValueError(f"capacity undefined for odd area {self.a}x{self.b}")
         return self.area // 2
 
-    def cells(self) -> Iterator[Cell]:
-        for r in range(self.a):
-            for c in range(self.b):
-                yield (r, c)
-
     def __str__(self) -> str:
         mark = {"rectangle": "", "cylinder": "'", "torus": "'", "mobius": '"'}[self.topology.value]
         tail = "'" if self.topology is Topology.TORUS else ""
@@ -120,10 +115,6 @@ class FaultCurve(NamedTuple):
     lines: frozenset[int]
     crossing_edges: frozenset[CrossingEdge]
 
-    @property
-    def cap(self) -> int:
-        return len(self.crossing_edges)
-
 
 def build_board(topology: Topology | str, a: int, b: int) -> BoardSpec:
     """Construct a validated board; raises InvalidDimensionError on bad dims."""
@@ -133,14 +124,6 @@ def build_board(topology: Topology | str, a: int, b: int) -> BoardSpec:
     if a < 1 or b < 1:
         raise InvalidDimensionError(f"dimensions must be >= 1, got {a} x {b}")
     return BoardSpec(topology, a, b)
-
-
-def cell_color(board: BoardSpec, cell: Cell) -> int:
-    """Checkerboard color of a cell: (r + c) mod 2."""
-    r, c = cell
-    if not (0 <= r < board.a and 0 <= c < board.b):
-        raise ValueError(f"cell {cell} outside board {board}")
-    return (r + c) % 2
 
 
 def _seam_cells(board: BoardSpec, r: int) -> tuple[Cell, Cell] | None:
@@ -248,9 +231,3 @@ def fault_curves(board: BoardSpec) -> tuple[FaultCurve, ...]:
         curves[line_curve[axis, line]][2].append(CrossingEdge(axis, line, offset))
     return tuple(FaultCurve(cid, name, frozenset(lines), frozenset(edges))
                  for cid, (name, lines, edges) in sorted(curves.items()))
-
-
-def curve_of(board: BoardSpec, edge: CrossingEdge) -> FaultCurve:
-    if _edge_cells(board, *edge.key()) is None:
-        raise KeyError(edge.key())
-    return fault_curves(board)[_curve_id(board, edge.axis, edge.line)]

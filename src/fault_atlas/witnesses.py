@@ -1,4 +1,4 @@
-"""Witness construction: base cases, expansion chains, file cache.
+"""Witness construction: base witnesses, expansion chains, file cache.
 
 A tileable board's witness comes from the cache, else from its nearest
 family (fewest double rows and columns, then lowest id): the base board's
@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import functools
 import os
+import stat
 from pathlib import Path
-from typing import NamedTuple
 
-from .classify import base_boards, classify, matching_tileable_families
+from .classify import classify, matching_tileable_families
 from .errors import (ExpansionFailedError, InvalidWitnessError, InvariantError, WitnessDecodeError,
                      WitnessUnavailableError)
 from .expansion import COLS, ROWS, _grow_keys
@@ -40,9 +40,16 @@ class WitnessStore:
     def load(self, board: BoardSpec) -> Tiling | None:
         path = self.path_for(board)
         try:
-            tiling = decode_for_board(path.read_text(encoding="utf-8"), board)
+            # Opened without blocking, and read only if a regular file: a FIFO or a
+            # device in the cache is a miss, which save then replaces.
+            with open(path, encoding="utf-8",
+                      opener=lambda name, flags: os.open(name, flags | getattr(os, "O_NONBLOCK", 0))) as file:
+                if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+                    return None
+                text = file.read()
+            tiling = decode_for_board(text, board)
         except OSError:
-            return None  # missing, or unreadable (a directory, say); a miss either way
+            return None  # missing, or unreadable; a miss either way
         except (UnicodeDecodeError, WitnessDecodeError):
             return None  # corrupt entry, or one written for another board; rebuild
         if not verify(board, tiling).fault_free:
@@ -72,11 +79,6 @@ def default_store(explicit: "str | Path | None" = None) -> WitnessStore | None:
     return None
 
 
-class BaseCase(NamedTuple):
-    board: BoardSpec
-    witness: Tiling
-
-
 @functools.lru_cache(maxsize=64)  # one entry per tileable family base, 20 in all
 def _base_witness(board: BoardSpec) -> frozenset[EdgeKey]:
     from .bases import BASE_KEYS  # imported on first use: a witness read from the store never needs it
@@ -89,11 +91,6 @@ def _base_witness(board: BoardSpec) -> frozenset[EdgeKey]:
     if not report.fault_free:
         raise InvariantError(f"base witness for {board} fails verification")
     return keys
-
-
-def base_cases(topology: Topology) -> list[BaseCase]:
-    """Each expanding tileable family's minimal board with a verified witness."""
-    return [BaseCase(b, tiling_from_edges(b, _base_witness(b))) for b in base_boards(topology)]
 
 
 def _transpose(board: BoardSpec, keys: frozenset[EdgeKey]) -> Grown:

@@ -1,13 +1,13 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracles here deliberately avoid the package's search engine and counting
-pass: matchings are enumerated by naive recursion over the placement list,
-fold loci are traced by walking segments across the seam, and profile bounds
-come from direct product enumeration against constraints recomputed from
-first principles.  The counting pass is checked against an explicit
-enumeration of the parity classes of the same ParitySystem (row reduction
-over GF(2), then every combination of the kernel basis).  Expected values
-frozen in the tests were produced by these oracles.
+pass: matchings are enumerated (and counted) by naive recursion over the
+placement list, fold loci are traced by walking segments across the seam,
+and profile bounds come from direct product enumeration against constraints
+recomputed from first principles.  The counting pass is checked against an
+explicit enumeration of the parity classes of the same ParitySystem (row
+reduction over GF(2), then every combination of the kernel basis).  Expected
+values frozen in the tests were produced by these oracles.
 """
 
 from __future__ import annotations
@@ -25,11 +25,13 @@ from fault_atlas import (
     ParitySystem,
     Tiling,
     Topology,
+    base_boards,
     build_board,
     build_parity_system,
     fault_curves,
     placements,
     verify,
+    witness,
 )
 
 ALL_TOPOLOGIES = tuple(Topology)
@@ -45,6 +47,8 @@ MALFORMED_DOCUMENTS = [
                  id="cells-not-a-list"),
     pytest.param(_ONE_DOMINO % '{"edge": ["v", 1, 0], "cells": [[0, 0]]}', "malformed cells",
                  id="one-cell"),
+    pytest.param(_ONE_DOMINO % '{"edge": ["v", 1, 0], "cells": [[0, 0], [0, 1], [9, 9]]}',
+                 "malformed cells", id="three-cells"),
 ]
 
 
@@ -65,14 +69,19 @@ def package_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def base_witnesses(topology: Topology) -> list[tuple[BoardSpec, Tiling]]:
+    """(board, witness) for each expanding tileable family's base: its checked-in keys, a chain of length 0."""
+    return [(board, witness(board)) for board in base_boards(topology)]
+
+
 def enumerate_matchings(board: BoardSpec) -> Iterator[frozenset]:
     """All perfect matchings, by naive recursion over the placement list."""
     plcs = placements(board)
-    incident: dict[tuple[int, int], list] = {cell: [] for cell in board.cells()}
+    order = [(r, c) for r in range(board.a) for c in range(board.b)]
+    incident: dict[tuple[int, int], list] = {cell: [] for cell in order}
     for p in plcs:
         for cell in p.cells:
             incident[cell].append(p)
-    order = sorted(board.cells())
     covered: set = set()
     chosen: list = []
 
@@ -94,6 +103,11 @@ def enumerate_matchings(board: BoardSpec) -> Iterator[frozenset]:
 
     if board.area % 2 == 0:
         yield from rec(0)
+
+
+def count_tilings(board: BoardSpec) -> int:
+    """The number of perfect matchings; parallel edges between the same cell pair count separately."""
+    return sum(1 for _ in enumerate_matchings(board))
 
 
 def enumerate_fault_free(board: BoardSpec) -> Iterator[Tiling]:
@@ -353,6 +367,29 @@ def measure_profile(board: BoardSpec, tiling: Tiling):
         else:
             y[line] = y.get(line, 0) + 1
     return x, y, u, s
+
+
+def system_violations(board: BoardSpec, tiling: Tiling) -> list[str]:
+    """Each constraint of the package's ParitySystem that the tiling's measured profile breaks."""
+    system = build_parity_system(board)
+    x, y, u, s = measure_profile(board, tiling)
+    values = {**{("x", line): n for line, n in x.items()}, **{("y", line): n for line, n in y.items()},
+              **{("u", pair): n for pair, n in u.items()}}  # u is empty off a Moebius strip
+    if board.topology in (Topology.CYLINDER, Topology.TORUS):
+        values["s", None] = s
+    index = system.var_index()
+    out = [f"unknown variable {key}" for key in values if key not in index]
+    vec = [values.get((var.kind, var.key), 0) for var in system.variables]
+    out += [f"{var.kind} {var.key} = {n} outside [0, {var.cap}]"
+            for var, n in zip(system.variables, vec) if not 0 <= n <= var.cap]
+    odd = sum((n & 1) << i for i, n in enumerate(vec))
+    out += [f"parity equation violated (mask {mask:#x}, rhs {rhs})"
+            for mask, rhs in system.equations if (mask & odd).bit_count() & 1 != rhs]
+    out += [f"fault curve uncovered (variables {group})"
+            for group in system.coverage_groups if sum(vec[i] for i in group) < 1]
+    if sum(vec) != board.capacity:
+        out.append(f"total {sum(vec)} != capacity {board.capacity}")
+    return out
 
 
 @pytest.fixture(scope="session")

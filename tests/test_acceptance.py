@@ -13,22 +13,19 @@ from pathlib import Path
 from fault_atlas import (
     Topology,
     build_board,
-    build_parity_system,
-    check_profile,
     classify,
     counting_feasible,
-    encode,
     fault_free_exists_oracle,
     find_fault_free,
     find_tiling,
     min_required_tiles,
-    profile_of,
     verify,
     witness,
 )
 from fault_atlas.charts import build_chart, chart_text
-from fault_atlas.witnesses import WitnessStore, base_cases
+from fault_atlas.witnesses import WitnessStore
 from fault_atlas.expansion import expand
+from conftest import base_witnesses, system_violations
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -117,8 +114,7 @@ def test_criterion_5_witnesses_up_to_12(tmp_path):
                 report = verify(board, tiling)
                 assert report.matching_valid, board
                 assert not report.uncrossed_curves, board
-                profile = profile_of(board, tiling)
-                violations = check_profile(board, profile)
+                violations = system_violations(board, tiling)
                 assert violations == [], (board, violations)
                 assert sum(report.curve_crossings.values()) == board.capacity
     _report(5, f"witnesses for all {boards} tileable boards <= 12x12, profiles satisfy the system")
@@ -127,12 +123,12 @@ def test_criterion_5_witnesses_up_to_12(tmp_path):
 def test_criterion_6_expansion_lemma():
     grown_total = 0
     for topo in Topology:
-        for case in base_cases(topo):
+        for board, tiling in base_witnesses(topo):
             for axis in ("rows", "cols"):
-                current = case.witness
+                current = tiling
                 for _ in range(3):
                     current = expand(current, axis)
-                    assert verify(current.board, current).fault_free, (case.board, axis)
+                    assert verify(current.board, current).fault_free, (board, axis)
                     grown_total += 1
     _report(6, f"{grown_total} successive expansions re-verified fault-free")
 

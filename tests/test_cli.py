@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from fault_atlas import decode, verify
 from fault_atlas.cli import MAX_AREA, main
 from conftest import MALFORMED_DOCUMENTS, package_env
 
@@ -214,6 +216,40 @@ def run_capped(*argv, timeout=30):
     """)
     return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
                           env=package_env(), timeout=timeout)
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+
+
+class TestFifo:
+    """Each command runs in a child interpreter, so one that blocks fails on the timeout instead of hanging."""
+
+    @needs_fifo
+    def test_fifo_cache_entry_is_a_miss(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("FAULT_ATLAS_CACHE", raising=False)
+        entry = tmp_path / "cylinder_4x6.json"
+        os.mkfifo(entry)
+        done = run_capped("solve", "--topology", "cylinder", "--a", "4", "--b", "6", "--witnesses", str(tmp_path))
+        assert done.returncode == 0, done.stderr
+        tiling = decode(done.stdout)
+        assert verify(tiling.board, tiling).fault_free
+        assert entry.is_file() and entry.read_text(encoding="utf-8") == done.stdout
+
+    @needs_fifo
+    def test_verify_reads_a_fifo(self, tmp_path):
+        # `fault-atlas verify <(...)` hands the command a FIFO
+        source, pipe = tmp_path / "w.json", tmp_path / "pipe"
+        assert main(["solve", "--topology", "mobius", "--a", "5", "--b", "4", "--out", str(source)]) == 0
+        os.mkfifo(pipe)
+        copy = "import pathlib, sys; pathlib.Path(sys.argv[2]).write_bytes(pathlib.Path(sys.argv[1]).read_bytes())"
+        writer = subprocess.Popen([sys.executable, "-c", copy, str(source), str(pipe)])
+        try:
+            done = run_capped("verify", str(pipe))
+        finally:
+            writer.kill()
+            writer.wait()
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.endswith("fault-free: True\n")
 
 
 class TestAreaCeiling:

@@ -10,12 +10,10 @@ from fault_atlas import (
     Topology,
     build_board,
     build_parity_system,
-    check_profile,
     classify,
     counting_feasible,
     fault_curves,
     min_required_tiles,
-    profile_of,
 )
 from conftest import (
     _constraints_ok,
@@ -29,6 +27,7 @@ from conftest import (
     run_totals,
     step2_runs,
     sweep_order,
+    system_violations,
 )
 
 
@@ -259,10 +258,8 @@ class TestBruteForceEquivalence:
 
     def test_fault_free_profiles_satisfy_both_models(self):
         for board in boards_upto(5, max_area=16):
-            system = build_parity_system(board)
             for tiling in enumerate_fault_free(board):
-                profile = profile_of(board, tiling)
-                assert check_profile(board, profile) == [], board
+                assert system_violations(board, tiling) == [], board
                 x, y, u, s = measure_profile(board, tiling)
                 assert _constraints_ok(board, x, y, u, s), board
                 assert sum(x.values()) + sum(y.values()) + (

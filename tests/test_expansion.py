@@ -15,8 +15,8 @@ from fault_atlas import (
 )
 from fault_atlas.expansion import _grow_keys
 from fault_atlas.tiling import _edge_keys, tiling_from_edges
-from fault_atlas.witnesses import base_cases
 from fault_atlas.topology import Topology
+from conftest import base_witnesses
 
 
 def _witness(topo, a, b):
@@ -43,10 +43,10 @@ class TestExpand:
 
     def test_every_base_expands_once_per_axis(self):
         for topo in Topology:
-            for case in base_cases(topo):
+            for board, tiling in base_witnesses(topo):
                 for axis in ("rows", "cols"):
-                    grown = expand(case.witness, axis)
-                    assert verify(grown.board, grown).fault_free, (case.board, axis)
+                    grown = expand(tiling, axis)
+                    assert verify(grown.board, grown).fault_free, (board, axis)
 
     def test_preserves_domino_count(self):
         w = _witness("torus", 4, 4)
@@ -100,19 +100,19 @@ class TestBands:
     @pytest.mark.parametrize("axis", ["rows", "cols"])
     @pytest.mark.parametrize("topo", list(Topology), ids=lambda t: t.value)
     def test_k_bands_equal_k_steps(self, topo, axis):
-        for case in base_cases(topo):
-            keys = _edge_keys(case.witness)
-            step = (case.board, keys)
+        for board, tiling in base_witnesses(topo):
+            keys = _edge_keys(tiling)
+            step = (board, keys)
             done = 0
             for k in (1, 2, 3, 5, 10):
                 while done < k:
                     step = _grow_keys(*step, axis, 1)
                     done += 1
-                assert _grow_keys(case.board, keys, axis, k) == step, (case.board, axis, k)
+                assert _grow_keys(board, keys, axis, k) == step, (board, axis, k)
 
     def test_fifty_bands_verify(self):
         for topo in Topology:
-            for case in base_cases(topo):
+            for base, tiling in base_witnesses(topo):
                 for axis in ("rows", "cols"):
-                    board, keys = _grow_keys(case.board, _edge_keys(case.witness), axis, 50)
-                    assert verify(board, tiling_from_edges(board, keys)).fault_free, (case.board, axis)
+                    board, keys = _grow_keys(base, _edge_keys(tiling), axis, 50)
+                    assert verify(board, tiling_from_edges(board, keys)).fault_free, (base, axis)

@@ -51,7 +51,7 @@ def _fault_free(board, tiling):
     """The verdict from first principles: every cell covered once, every fault curve crossed."""
     cells = sorted(cell for p in tiling.dominoes for cell in p.cells)
     crossed = {("horizontal" if p.edge.axis == "h" else "vertical", p.edge.line) for p in tiling.dominoes}
-    return cells == sorted(board.cells()) and all(
+    return cells == [(r, c) for r in range(board.a) for c in range(board.b)] and all(
         any((curve.axis, line) in crossed for line in curve.lines) for curve in fault_curves(board))
 
 

@@ -1,4 +1,4 @@
-"""Search engine: existence, counting, fault-free search, oracle; each search runs to completion."""
+"""Search engine: existence, fault-free search, oracle; each search runs to completion."""
 
 from __future__ import annotations
 
@@ -11,12 +11,9 @@ import textwrap
 import pytest
 
 from fault_atlas import (
-    CrossingEdge,
     OracleRangeError,
     Topology,
     build_board,
-    count_tilings,
-    curve_of,
     fault_curves,
     fault_free_exists_oracle,
     find_fault_free,
@@ -26,7 +23,8 @@ from fault_atlas import (
 )
 from fault_atlas import search
 from fault_atlas.search import _Geometry
-from conftest import boards_upto, enumerate_fault_free, enumerate_matchings, package_env
+from fault_atlas.topology import _curve_id
+from conftest import boards_upto, count_tilings, enumerate_fault_free, package_env
 
 
 class TestFindTiling:
@@ -45,15 +43,12 @@ class TestFindTiling:
 
 
 class TestCountTilings:
+    """The reference count in conftest, which the golden `count` lines rest on."""
+
     def test_frozen_examples(self):
         assert count_tilings(build_board("rectangle", 2, 3)) == 3
         assert count_tilings(build_board("rectangle", 1, 2)) == 1
         assert count_tilings(build_board("cylinder", 1, 2)) == 2
-
-    def test_matches_brute_enumeration(self):
-        for board in boards_upto(3):
-            expected = sum(1 for _ in enumerate_matchings(board))
-            assert count_tilings(board) == expected, board
 
     @pytest.mark.parametrize("a,b,expected", [
         (2, 4, 5), (2, 10, 89),      # Fibonacci column
@@ -113,7 +108,7 @@ class TestOracle:
     def test_ceiling(self):
         with pytest.raises(OracleRangeError):
             fault_free_exists_oracle(build_board("rectangle", 7, 7))
-        assert fault_free_exists_oracle(build_board("rectangle", 7, 7), ceiling=49) is False
+        assert fault_free_exists_oracle(build_board("rectangle", 1, 48)) is False  # the ceiling is inclusive
 
 
 def test_witness_check_holds_under_optimize():
@@ -140,7 +135,7 @@ def test_witness_check_holds_under_optimize():
 def test_geometry_caps_match_fault_curves():
     for board in boards_upto(10):
         pairs = _Geometry(board).pairs
-        assert [len(p) for p in pairs] == [c.cap for c in fault_curves(board)], board
+        assert [len(p) for p in pairs] == [len(c.crossing_edges) for c in fault_curves(board)], board
         for curve in fault_curves(board):  # cell (r, c) is bit c*a + r of the column-major sweep
             cells = [p.cells for p in placements(board) if p.edge in curve.crossing_edges]
             masks = [sum(1 << (c * board.a + r) for r, c in pair) for pair in cells]
@@ -157,14 +152,13 @@ def test_search_builds_no_board_table(monkeypatch):
 
     monkeypatch.setattr(search, "_Geometry", Counted)
     odd = build_board("torus", 5, 7)
-    assert find_tiling(odd).nodes == find_fault_free(odd).nodes == count_tilings(odd) == 0
+    assert find_tiling(odd).nodes == find_fault_free(odd).nodes == 0
     assert built == []
     tables = (placements.cache_info(), fault_curves.cache_info())
     for board in (build_board("mobius", 5, 4), build_board("cylinder", 4, 6)):
         assert find_tiling(board).status == find_fault_free(board).status == "found"
-        assert count_tilings(board) > 0
     assert (placements.cache_info(), fault_curves.cache_info()) == tables
-    assert len(built) == 6  # one geometry per search, none kept
+    assert len(built) == 4  # one geometry per search, none kept
 
 
 def test_searches_leave_no_reference_cycles():
@@ -174,7 +168,7 @@ def test_searches_leave_no_reference_cycles():
     gc.disable()
     try:
         for board in boards:
-            for run in (find_fault_free, find_tiling, count_tilings):
+            for run in (find_fault_free, find_tiling):
                 run(board)
                 assert gc.collect() == 0, (run.__name__, board)
     finally:
@@ -194,14 +188,14 @@ def test_narrowed_prune_data_equals_the_full_rule():
         curve_at = [set() for _ in range(board.area)]  # curves with a crossing edge at each cell
         for p in placements(board):
             for r, col in p.cells:
-                curve_at[col * a + r].add(curve_of(board, p.edge).id)
+                curve_at[col * a + r].add(_curve_id(board, p.edge.axis, p.edge.line))
         assert sorted(move[2] for row in moves for move in row) == list(range(len(geo.edges)))
         for i, row in enumerate(moves):
             for mask, bit, eid, must, near in row:
-                axis, line, offset, cells = geo.edges[eid]
+                axis, line, _offset, cells = geo.edges[eid]
                 j = mask.bit_length() - 1
                 assert mask & -mask == 1 << i and j > i and mask == sum(1 << (col * a + r) for r, col in cells)
-                k = curve_of(board, CrossingEdge(axis, line, offset)).id
+                k = _curve_id(board, axis, line)
                 assert bit == 1 << k
                 nearby = (curve_at[i] | curve_at[j]) - {k}
                 free = [n for n in range(i + 1, board.area) if n != j]

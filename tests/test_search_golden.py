@@ -5,7 +5,8 @@
 - `fault-free topology a b status nodes sha256 pruned` for every board of area <= 48;
 - `unpruned ...`, the same with `prune=False`, for area <= 24;
 - `tiling topology a b status nodes sha256` from `find_tiling` for area <= 20;
-- `count topology a b n` from `count_tilings` for area <= 16.
+- `count topology a b n`, the number of perfect matchings from the reference
+  count in `tests/conftest.py`, for area <= 16.
 
 The digest is the SHA-256 of `encode(witness)`, or `-` when there is no
 witness.  Regenerate the file only for a deliberate change of the search order:
@@ -19,7 +20,8 @@ import hashlib
 from pathlib import Path
 from typing import Iterator
 
-from fault_atlas import Topology, build_board, count_tilings, encode, find_fault_free, find_tiling
+from fault_atlas import Topology, build_board, encode, find_fault_free, find_tiling
+from conftest import count_tilings
 
 GOLDEN = Path(__file__).parent / "golden" / "search_outcomes.txt"
 

@@ -1,4 +1,4 @@
-"""Boards, placements, fault curves, coloring."""
+"""Boards, placements, fault curves, wrap colors."""
 
 from __future__ import annotations
 
@@ -13,29 +13,25 @@ from fault_atlas import (
     InvalidDimensionError,
     Placement,
     Topology,
-    base_cases,
     build_board,
     build_chart,
     build_parity_system,
-    cell_color,
     classify,
     counting_feasible,
-    curve_of,
     fault_curves,
     find_fault_free,
     placements,
-    profile_of,
     verify,
 )
 from fault_atlas.classify import FAMILIES
 from fault_atlas.topology import _curve_id, _edge_cells
-from conftest import boards_upto, walk_horizontal_locus
+from conftest import base_witnesses, boards_upto, walk_horizontal_locus
 
 
 class TestBuildBoard:
     def test_rectangle_6x6(self):
         board = build_board("rectangle", 6, 6)
-        assert len(list(board.cells())) == 36
+        assert board.area == 36
         assert len(fault_curves(board)) == 10
 
     def test_cylinder_5x6_has_one_more_curve_than_rectangle(self):
@@ -113,7 +109,7 @@ class TestFaultCurves:
     def test_torus_2x2_all_caps_two(self):
         curves = fault_curves(build_board("torus", 2, 2))
         assert len(curves) == 4
-        assert all(c.cap == 2 for c in curves)
+        assert all(len(c.crossing_edges) == 2 for c in curves)
 
     def test_curve_count_formulas_up_to_20(self):
         for board in boards_upto(20, topologies=[Topology.RECTANGLE]):
@@ -137,7 +133,7 @@ class TestFaultCurves:
                     seen[edge] = curve.id
             for p in placements(board):
                 assert p.edge in seen, (board, p)
-                assert curve_of(board, p.edge).id == seen[p.edge]
+                assert _curve_id(board, p.edge.axis, p.edge.line) == seen[p.edge]
 
     def test_mobius_horizontal_curves_match_fold_walk(self):
         for board in boards_upto(8, topologies=[Topology.MOBIUS, Topology.CYLINDER, Topology.TORUS]):
@@ -174,10 +170,7 @@ class TestEdgeGeometry:
 
 
 class TestCellColor:
-    def test_basic(self):
-        board = build_board("rectangle", 6, 6)
-        assert cell_color(board, (0, 0)) == 0
-        assert cell_color(board, (3, 4)) == 1
+    """A Moebius wrap domino joins two cells of the (r + c) % 2 checkerboard."""
 
     def test_mobius_wrap_same_color_when_both_even(self):
         for a in (2, 4, 6, 8):
@@ -185,7 +178,7 @@ class TestCellColor:
                 board = build_board("mobius", a, b)
                 for p in placements(board):
                     if p.edge.line == 0:
-                        c1, c2 = (cell_color(board, cell) for cell in p.cells)
+                        c1, c2 = ((r + c) % 2 for r, c in p.cells)
                         assert c1 == c2, (board, p)
 
     def test_mobius_wrap_colors_differ_when_parity_differs(self):
@@ -193,12 +186,8 @@ class TestCellColor:
             board = build_board("mobius", a, b)
             for p in placements(board):
                 if p.edge.line == 0:
-                    c1, c2 = (cell_color(board, cell) for cell in p.cells)
+                    c1, c2 = ((r + c) % 2 for r, c in p.cells)
                     assert c1 != c2, (board, p)
-
-    def test_outside_board(self):
-        with pytest.raises(ValueError):
-            cell_color(build_board("rectangle", 2, 2), (2, 0))
 
 
 @pytest.mark.parametrize("topo", list(Topology))
@@ -216,11 +205,10 @@ def test_records_equal_and_hash_as_their_field_tuples(topo):
             with pytest.raises(AttributeError):
                 p.cells = p.cells[::-1]
     # Every other public record too; the ones holding a dict have no hash.
-    case = base_cases(topo)[0]
-    board, tiling = case.board, case.witness
+    board, tiling = base_witnesses(topo)[0]
     records = [board, fault_curves(board)[0], tiling, verify(board, tiling), classify(board),
                FAMILIES[topo][0], find_fault_free(board), build_parity_system(board),
-               profile_of(board, tiling), counting_feasible(board), case, build_chart(topo, 4)]
+               counting_feasible(board), build_chart(topo, 4)]
     for record in records:
         fields = tuple(record)
         assert type(fields) is tuple and record == fields and len(fields) == len(record._fields)

@@ -14,7 +14,6 @@ from fault_atlas import (
     Topology,
     WitnessStore,
     WitnessUnavailableError,
-    base_cases,
     build_board,
     classify,
     encode,
@@ -26,7 +25,7 @@ from fault_atlas import (
 from fault_atlas.classify import matching_tileable_families
 from fault_atlas.tiling import tiling_from_edges
 from fault_atlas.witnesses import _base_witness, default_store
-from conftest import package_env
+from conftest import base_witnesses, package_env
 
 
 class TestWitness:
@@ -166,8 +165,8 @@ class TestStore:
 
 
 def _plain_chain(board):
-    """The reference chain: public expand one band at a time from base_cases."""
-    bases = {case.board: case.witness for case in base_cases(board.topology)}
+    """The reference chain: public expand one band at a time from each family base's witness."""
+    bases = dict(base_witnesses(board.topology))
     options = sorted(matching_tileable_families(board), key=lambda t: (t[1] + t[2], t[0].id))
     for fam, n, m in options:
         base = build_board(board.topology, *fam.base)
