@@ -22,7 +22,7 @@ from .errors import (
     WitnessDecodeError,
     WitnessUnavailableError,
 )
-from .tiling import decode, encode, verify
+from .tiling import DOCUMENT_BYTES_PER_DOMINO, decode, encode, verify
 from .topology import Topology, build_board
 from .witnesses import default_store, witness
 
@@ -34,6 +34,8 @@ EXIT_VERIFY = 3
 MAX_CENSUS = 64
 # Boards up to 512x512: work and memory per command grow with the area.
 MAX_AREA = 1 << 18
+# A witness file is read up to the bytes a document of the largest such board may take (64 MiB).
+MAX_WITNESS_BYTES = DOCUMENT_BYTES_PER_DOMINO * (MAX_AREA // 2)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,11 +74,17 @@ def _write_out(text: str, out: "str | None") -> None:
 
 def _read_witness(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as file:
+            data = file.read(MAX_WITNESS_BYTES + 1)
     except OSError as exc:
         raise _CliError(EXIT_INVALID, f"cannot read {path}: {exc}") from exc
+    if len(data) > MAX_WITNESS_BYTES:
+        raise _CliError(EXIT_INVALID,
+                        f"witness {path} is longer than the ceiling of {MAX_WITNESS_BYTES} bytes")
     try:
-        tiling = decode(text)
+        tiling = decode(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise _CliError(EXIT_INVALID, f"malformed witness {path}: not UTF-8 text: {exc}") from exc
     except WitnessDecodeError as exc:
         raise _CliError(EXIT_INVALID, f"malformed witness {path}: {exc}") from exc
     _within_ceiling(tiling.board)

@@ -10,11 +10,17 @@ Cells are only ever covered deeper in the tree, so no completion can cross
 that curve and the subtree contains no fault-free tiling.
 
 The state is two integers passed by value, so nothing is undone.  Bit i of
-the cover mask is the i-th cell of the column-major sweep (cell (r, c) is bit
-c*a + r), so the cell to expand is the lowest zero bit.  Bit k of the crossed
-mask is fault curve k, numbered as `topology._curve_id` numbers them.  A
-cell's placements are tried vertical-first, then horizontal, then wrapping;
-then by line, offset and edge id, which makes node counts reproducible.
+the cover mask is the i-th cell of the sweep, so the cell to expand is the
+lowest zero bit.  The sweep runs along the board's long side: row by row when
+a > b, else column by column, the cells of each line in order.  A glued
+swept axis (rows on a torus or Moebius strip, columns on every wrapped board)
+is visited from both ends inward (0, n-1, 1, n-2, ...), so glued lines are
+neighbours and the two cells of every domino lie within 2*min(a, b) bits of
+each other.  The frontier stays short, so fault curves close, and prunes
+fire, early.  Bit k of the crossed mask is fault curve k, numbered as
+`topology._curve_id` numbers them.  A cell's placements are tried
+vertical-first, then horizontal, then wrapping; then by line, offset and
+edge id, which makes node counts reproducible.
 
 Every cell below the expanded cell i is covered, so only the dominoes whose
 other cell lies above i are moves at i, and only a crossing pair with both
@@ -33,7 +39,7 @@ from typing import NamedTuple
 
 from .errors import InvariantError, OracleRangeError
 from .tiling import Tiling, tiling_from_edges, verify
-from .topology import BoardSpec, _curve_id, _edges
+from .topology import _MOBIUS, _RECTANGLE, _TORUS, BoardSpec, _curve_id, _edges
 
 FOUND = "found"
 EXHAUSTED = "exhausted-none"
@@ -51,16 +57,26 @@ class SearchOutcome(NamedTuple):
 class _Geometry:
     """The board as bit masks: per-curve crossing pairs, then per-cell moves."""
 
-    __slots__ = ("edges", "bits", "curve", "pairs", "full")
+    __slots__ = ("row_bit", "col_bit", "edges", "bits", "curve", "pairs", "full")
 
     def __init__(self, board: BoardSpec) -> None:
-        a = board.a
+        a, b, topo = board.a, board.b, board.topology
+        # Sweep the long side: rows when a > b, else columns.  Cell (r, c) is bit
+        # row_bit[r] + col_bit[c], and one of the two lists holds each swept line's first bit.
+        rows = a > b
+        n, width = (a, b) if rows else (b, a)
+        if topo is _TORUS or topo is _MOBIUS if rows else topo is not _RECTANGLE:
+            # the swept axis is glued: visit its lines from both ends inward (0, n-1, 1, n-2, ...)
+            lines = [width * (2 * k if 2 * k < n else 2 * (n - k) - 1) for k in range(n)]
+        else:
+            lines = [*range(0, n * width, width)]
+        self.row_bit, self.col_bit = row_bit, col_bit = (lines, [*range(b)]) if rows else ([*range(a)], lines)
         # edges[eid] = (axis, line, offset, cells), the topology's records in edge id order
         self.edges = edges = tuple(_edges(board))
         self.curve = curve = [_curve_id(board, axis, line) for axis, line, _offset, _cells in edges]
         self.bits = bits = []  # the (lower, upper) bits of each edge's cells
         for _axis, _line, _offset, ((r1, c1), (r2, c2)) in edges:
-            x, y = c1 * a + r1, c2 * a + r2
+            x, y = row_bit[r1] + col_bit[c1], row_bit[r2] + col_bit[c2]
             bits.append((x, y) if x < y else (y, x))
         self.pairs = pairs = [[] for _ in range(_curve_id(board, "v", board.b))]
         for (i, j), k in zip(bits, curve):

@@ -123,6 +123,9 @@ _DOMINO = (
     '      "cells": [\n        [\n          %d,\n          %d\n        ],\n'
     '        [\n          %d,\n          %d\n        ]\n      ]\n    }'
 )
+# Readers cap a witness document at this many bytes per domino of its board.  The
+# canonical document takes about 193 (the header included) on boards to 512 x 512.
+DOCUMENT_BYTES_PER_DOMINO = 512
 
 
 def encode(tiling: Tiling) -> str:

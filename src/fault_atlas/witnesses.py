@@ -20,7 +20,8 @@ from .classify import classify, matching_tileable_families
 from .errors import (ExpansionFailedError, InvalidWitnessError, InvariantError, WitnessDecodeError,
                      WitnessUnavailableError)
 from .expansion import COLS, ROWS, _grow_keys
-from .tiling import EdgeKey, Tiling, _verify_keys, decode_for_board, encode, tiling_from_edges, verify
+from .tiling import (DOCUMENT_BYTES_PER_DOMINO, EdgeKey, Tiling, _verify_keys, decode_for_board, encode,
+                     tiling_from_edges, verify)
 from .topology import BoardSpec, Topology, build_board
 
 CACHE_ENV = "FAULT_ATLAS_CACHE"
@@ -29,7 +30,11 @@ Grown = tuple[BoardSpec, frozenset[EdgeKey]]  # a fault-free tiling as its board
 
 
 class WitnessStore:
-    """One JSON witness file per board in a configurable directory."""
+    """One JSON witness file per board in a configurable directory.
+
+    An entry is read up to DOCUMENT_BYTES_PER_DOMINO bytes per domino of its
+    board; a longer one is a miss, like a corrupt one, and save replaces it.
+    """
 
     def __init__(self, directory: "str | Path") -> None:
         self.directory = Path(directory)
@@ -39,15 +44,18 @@ class WitnessStore:
 
     def load(self, board: BoardSpec) -> Tiling | None:
         path = self.path_for(board)
+        limit = DOCUMENT_BYTES_PER_DOMINO * (board.area // 2)
         try:
             # Opened without blocking, and read only if a regular file: a FIFO or a
             # device in the cache is a miss, which save then replaces.
-            with open(path, encoding="utf-8",
+            with open(path, "rb",
                       opener=lambda name, flags: os.open(name, flags | getattr(os, "O_NONBLOCK", 0))) as file:
                 if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
                     return None
-                text = file.read()
-            tiling = decode_for_board(text, board)
+                data = file.read(limit + 1)
+            if len(data) > limit:
+                return None  # longer than any witness of the board; rebuild
+            tiling = decode_for_board(data.decode("utf-8"), board)
         except OSError:
             return None  # missing, or unreadable; a miss either way
         except (UnicodeDecodeError, WitnessDecodeError):

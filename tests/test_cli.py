@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from fault_atlas import decode, verify
-from fault_atlas.cli import MAX_AREA, main
+from fault_atlas.cli import MAX_AREA, MAX_WITNESS_BYTES, main
+from fault_atlas.tiling import _DOCUMENT, _DOMINO, DOCUMENT_BYTES_PER_DOMINO
 from conftest import MALFORMED_DOCUMENTS, package_env
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -192,6 +193,14 @@ class TestSolveVerifyRenderExpand:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "not valid JSON" in err
 
+    @pytest.mark.parametrize("command", [("verify",), ("render",), ("expand", "--axis", "rows")])
+    def test_non_utf8_witness_exit_2(self, capsys, tmp_path, command):
+        wfile = tmp_path / "w.json"
+        wfile.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, command[0], str(wfile), *command[1:])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "not UTF-8 text" in err
+
     def test_unreadable_cache_entry_is_a_miss_and_unwritable_exit_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("FAULT_ATLAS_CACHE", raising=False)
         (tmp_path / "cylinder_4x6.json").mkdir()
@@ -250,6 +259,39 @@ class TestFifo:
             writer.wait()
         assert done.returncode == 0, done.stderr
         assert done.stdout.endswith("fault-free: True\n")
+
+
+class TestReadCeiling:
+    """A witness file or cache entry is read only up to its byte ceiling, in a child capped at 1 GiB."""
+
+    @pytest.mark.parametrize("command", [("verify",), ("render",), ("expand", "--axis", "rows")])
+    def test_oversized_witness_file_exit_2(self, tmp_path, command):
+        wfile = tmp_path / "w.json"
+        wfile.touch()
+        os.truncate(wfile, 3 << 30)  # sparse: 3 GiB of zero bytes that take no disk
+        done = run_capped(command[0], str(wfile), *command[1:])
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.count("\n") == 1
+        assert f"longer than the ceiling of {MAX_WITNESS_BYTES} bytes" in done.stderr
+
+    def test_oversized_cache_entry_is_a_miss(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("FAULT_ATLAS_CACHE", raising=False)
+        entry = tmp_path / "cylinder_4x6.json"
+        entry.touch()
+        os.truncate(entry, 3 << 30)
+        done = run_capped("solve", "--topology", "cylinder", "--a", "4", "--b", "6",
+                          "--witnesses", str(tmp_path))
+        assert done.returncode == 0, done.stderr
+        tiling = decode(done.stdout)
+        assert verify(tiling.board, tiling).fault_free
+        assert entry.read_text(encoding="utf-8") == done.stdout  # save replaced the entry
+
+    def test_ceiling_holds_every_document_within_the_area_ceiling(self):
+        # every number in a document of a board within MAX_AREA has at most as many digits as MAX_AREA
+        n = MAX_AREA
+        header = len(_DOCUMENT % ("rectangle", n, n, "[\n\n  ]"))
+        domino = len(_DOMINO % ("h", n, n, n, n, n, n)) + len(",\n")
+        assert header + domino <= DOCUMENT_BYTES_PER_DOMINO
 
 
 class TestAreaCeiling:

@@ -132,14 +132,33 @@ def test_witness_check_holds_under_optimize():
     assert done.stdout.split() == ["False", "raised", "False", "raised"]
 
 
+def cell_bit(geo, cell):
+    """The cell's bit in the search's sweep, read from the geometry."""
+    r, c = cell
+    return geo.row_bit[r] + geo.col_bit[c]
+
+
 def test_geometry_caps_match_fault_curves():
     for board in boards_upto(10):
-        pairs = _Geometry(board).pairs
+        geo = _Geometry(board)
+        pairs = geo.pairs
         assert [len(p) for p in pairs] == [len(c.crossing_edges) for c in fault_curves(board)], board
-        for curve in fault_curves(board):  # cell (r, c) is bit c*a + r of the column-major sweep
+        for curve in fault_curves(board):
             cells = [p.cells for p in placements(board) if p.edge in curve.crossing_edges]
-            masks = [sum(1 << (c * board.a + r) for r, c in pair) for pair in cells]
+            masks = [sum(1 << cell_bit(geo, cell) for cell in pair) for pair in cells]
             assert sorted(pairs[curve.id]) == sorted(masks), (board, curve.id)
+
+
+def test_sweep_follows_the_long_side():
+    """Cells map one to one onto the bits, and a domino's two bits are at most 2*min(a, b) apart."""
+    for topo in Topology:
+        for a in range(1, 25):
+            for b in range(1, 25):
+                board = build_board(topo, a, b)
+                geo = _Geometry(board)
+                cells = [(r, c) for r in range(a) for c in range(b)]
+                assert sorted(cell_bit(geo, cell) for cell in cells) == list(range(a * b)), board
+                assert all(j - i <= 2 * min(a, b) for i, j in geo.bits), board
 
 
 def test_search_builds_no_board_table(monkeypatch):
@@ -179,22 +198,21 @@ def test_narrowed_prune_data_equals_the_full_rule():
     """Each move sits at its lower cell, and must/near decide as the full fault-curve rule does."""
     rng = random.Random(14)
     for board in boards_upto(24, max_area=24):
-        a = board.a
         geo = _Geometry(board)
         moves = geo.moves(True)
-        curve_pairs = {c.id: [sum(1 << (col * a + r) for r, col in p.cells)
+        curve_pairs = {c.id: [sum(1 << cell_bit(geo, cell) for cell in p.cells)
                               for p in placements(board) if p.edge in c.crossing_edges]
                        for c in fault_curves(board)}
         curve_at = [set() for _ in range(board.area)]  # curves with a crossing edge at each cell
         for p in placements(board):
-            for r, col in p.cells:
-                curve_at[col * a + r].add(_curve_id(board, p.edge.axis, p.edge.line))
+            for cell in p.cells:
+                curve_at[cell_bit(geo, cell)].add(_curve_id(board, p.edge.axis, p.edge.line))
         assert sorted(move[2] for row in moves for move in row) == list(range(len(geo.edges)))
         for i, row in enumerate(moves):
             for mask, bit, eid, must, near in row:
                 axis, line, _offset, cells = geo.edges[eid]
                 j = mask.bit_length() - 1
-                assert mask & -mask == 1 << i and j > i and mask == sum(1 << (col * a + r) for r, col in cells)
+                assert mask & -mask == 1 << i and j > i and mask == sum(1 << cell_bit(geo, cell) for cell in cells)
                 k = _curve_id(board, axis, line)
                 assert bit == 1 << k
                 nearby = (curve_at[i] | curve_at[j]) - {k}
