@@ -7,17 +7,18 @@ searching, and the base boards' lines in `tests/golden/witness_sha256.txt`
 pin its keys.  The table is not regenerated from the search, whose sweep
 order decides which witness it finds first.  Each entry is checked on its
 own here: it is a fault-free tiling of its base, and the search agrees that
-the base has one.
+the base has one.  It is also pinned to the search run under the
+column-major numbering it was made with (cell (r, c) at bit c*a + r).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from fault_atlas import find_fault_free, verify
+from fault_atlas import find_fault_free, search, verify
 from fault_atlas.bases import BASE_KEYS
 from fault_atlas.classify import FAMILIES
-from fault_atlas.tiling import tiling_from_edges
+from fault_atlas.tiling import _edge_keys, tiling_from_edges
 from fault_atlas.topology import BoardSpec, build_board
 
 
@@ -25,6 +26,21 @@ def family_bases() -> list[BoardSpec]:
     """Every tileable family's base board, 1 x 2 and 2 x 1 included, in family order."""
     return [build_board(topo, *fam.base) for topo, families in FAMILIES.items()
             for fam in families if fam.tileable]
+
+
+class ColumnMajor(search._Geometry):
+    """The search's geometry with every board swept column by column: cell (r, c) is bit c*a + r."""
+
+    __slots__ = ()
+
+    def __init__(self, board: BoardSpec) -> None:
+        super().__init__(board)
+        a = board.a
+        self.row_bit, self.col_bit = [*range(a)], [*range(0, board.area, a)]
+        self.bits = [tuple(sorted(c * a + r for r, c in cells)) for *_key, cells in self.edges]
+        self.pairs = pairs = [[] for _ in self.pairs]
+        for (i, j), k in zip(self.bits, self.curve):
+            pairs[k].append(1 << i | 1 << j)
 
 
 def test_table_covers_exactly_the_family_bases():
@@ -42,3 +58,10 @@ def test_entry_is_a_fault_free_tiling(board):
 @pytest.mark.parametrize("board", family_bases(), ids=str)
 def test_search_finds_the_base_tileable(board):
     assert find_fault_free(board).status == "found"
+
+
+@pytest.mark.parametrize("board", family_bases(), ids=str)
+def test_entry_equals_the_searched_witness(board, monkeypatch):
+    monkeypatch.setattr(search, "_Geometry", ColumnMajor)
+    searched = tuple(sorted(_edge_keys(find_fault_free(board).witness)))
+    assert BASE_KEYS[board.topology.value, board.a, board.b] == searched
