@@ -18,7 +18,12 @@ class WitnessDecodeError(FaultAtlasError):
 
 
 class OracleRangeError(FaultAtlasError):
-    """Board area exceeds the exhaustive oracle ceiling."""
+    """A board is out of the search's reach.
+
+    Its area exceeds the oracle ceiling, or its search nests deeper than the
+    interpreter's recursion limit: one call per domino placed, so about
+    1,000 dominoes at the default limit.
+    """
 
 
 class ExpansionFailedError(FaultAtlasError):

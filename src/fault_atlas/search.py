@@ -31,10 +31,31 @@ keeps its pairs above i, highest lower cell first.  Those prefixes are tuples
 shared by every move that needs the same curve with the same pairs.  One
 kernel serves all three searches; the modes without pruning get empty prune
 data.
+
+A subtree's result depends only on its node's (cover, crossed) pair, so the
+search remembers the states it has seen fail, in a failed-state memo.  It
+checks the memo only at nodes whose lowest free cell i starts a swept line
+(i % min(a, b) == 0), and stores a state there when its subtree fails; a memo
+at every node held 29,411 keys on torus 7'x6'.  The key is one int,
+`cover << n_curves | crossed`, which no two states share whatever the number
+of curves.  A state found in the memo is a hit: its subtree is not walked
+again, and it is not counted as a node.  The memo is bounded: two
+generations of at most MEMO_GENERATION (4,096) keys.  When the young set is
+full it becomes the old set, the previous old set is dropped, and a new young
+set starts, so at most 8,192 keys are live, and both sets are freed when the
+search returns.  A key is an int of area + n_curves bits, so the full memo
+takes about 0.5 MiB at area 80 and 2.9 MiB at area 1,980.  Forgetting a state
+only means walking it again, in the same DFS order, so eviction moves node
+counts, never a status or the first witness.
+
+The search nests one call per domino placed, so a board of about 1,000
+dominoes or more runs past the interpreter's recursion limit; that ends in
+`OracleRangeError` with a one-line message, not a traceback.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 from .errors import InvariantError, OracleRangeError
@@ -45,6 +66,7 @@ FOUND = "found"
 EXHAUSTED = "exhausted-none"
 
 ORACLE_CEILING = 48
+MEMO_GENERATION = 4096  # failed states per memo generation; two generations are kept
 
 
 class SearchOutcome(NamedTuple):
@@ -52,6 +74,7 @@ class SearchOutcome(NamedTuple):
     witness: Tiling | None
     nodes: int
     pruned: int = 0  # children cut by the fault-curve rule
+    memo_hits: int = 0  # states found in the failed-state memo; a hit is not a node
 
 
 class _Geometry:
@@ -135,24 +158,33 @@ class _Geometry:
 def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool) -> tuple:
     """Walk the (pruned) search tree up to the first tiling.
 
-    Returns (whether a tiling was found, nodes, pruned children, the found tiling's edge keys).
+    Returns (whether a tiling was found, nodes, pruned children, memo hits, the found tiling's edge keys).
     """
     if board.area % 2:
-        return False, 0, 0, []
+        return False, 0, 0, 0, []
     geo = _Geometry(board)
     prune = prune and fault_free
     if prune and not all(geo.pairs):  # a curve no domino crosses: no tiling is fault-free
-        return False, 0, 0, []
+        return False, 0, 0, 0, []
     moves, full = geo.moves(prune), geo.full
     need = (1 << len(geo.pairs)) - 1 if fault_free else 0  # the curves a leaf must cross
-    nodes = pruned = 0
+    width, shift = min(board.a, board.b), len(geo.pairs)
+    nodes = pruned = hits = 0
+    young: set[int] = set()  # failed states at line starts, newest generation
+    old: set[int] = set()
     path: list[int] = []  # the found branch's edge ids, collected as it unwinds
 
     def grow(cover: int, crossed: int) -> bool:
-        nonlocal nodes, pruned
+        nonlocal nodes, pruned, hits, young, old
+        i = (~cover & (cover + 1)).bit_length() - 1  # every cell below the lowest free one is covered
+        key = None
+        if not i % width:  # i starts a swept line
+            key = cover << shift | crossed
+            if key in young or key in old:
+                hits += 1
+                return False
         nodes += 1
-        # every cell below the lowest free one is covered: try dominoes from there
-        for mask, bit, eid, must, near in moves[(~cover & (cover + 1)).bit_length() - 1]:
+        for mask, bit, eid, must, near in moves[i]:
             if mask & cover:
                 continue
             child = cover | mask
@@ -176,32 +208,48 @@ def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool) -> tuple:
                 elif grow(child, now):
                     path.append(eid)
                     return True
+        if key is not None:
+            if len(young) == MEMO_GENERATION:
+                old, young = young, set()
+            young.add(key)
         return False
 
-    found = grow(0, 0)
+    try:
+        found = grow(0, 0)
+    except RecursionError:  # one nested call per domino placed
+        found = None  # raised below, once the unwound frames are gone
     del grow  # the closure refers to itself; unlink it so the tables are freed at once
-    return found, nodes, pruned, [geo.edges[eid][:3] for eid in path]
+    if found is None:
+        raise OracleRangeError(f"{board} is too deep to search: {board.area // 2} dominoes, one nested call "
+                               f"each, past the recursion limit of {sys.getrecursionlimit()}")
+    return found, nodes, pruned, hits, [geo.edges[eid][:3] for eid in path]
 
 
 def _search(board: BoardSpec, *, fault_free: bool, prune: bool) -> SearchOutcome:
     """Run one search and re-verify its witness in the search's own mode."""
-    found, nodes, pruned, keys = _traverse(board, fault_free=fault_free, prune=prune)
+    found, nodes, pruned, hits, keys = _traverse(board, fault_free=fault_free, prune=prune)
     if not found:
-        return SearchOutcome(EXHAUSTED, None, nodes, pruned)
+        return SearchOutcome(EXHAUSTED, None, nodes, pruned, hits)
     witness = tiling_from_edges(board, keys)
     report = verify(board, witness)
     if not (report.fault_free if fault_free else report.matching_valid):
         raise InvariantError(f"search returned a tiling of {board} that fails verification")
-    return SearchOutcome(FOUND, witness, nodes, pruned)
+    return SearchOutcome(FOUND, witness, nodes, pruned, hits)
 
 
 def find_tiling(board: BoardSpec) -> SearchOutcome:
-    """Search for any perfect matching; exhausted-none is definitive."""
+    """Search for any perfect matching; exhausted-none is definitive.
+
+    Raises OracleRangeError on a board too deep to search (about 1,000 dominoes).
+    """
     return _search(board, fault_free=False, prune=False)
 
 
 def find_fault_free(board: BoardSpec, *, prune: bool = True) -> SearchOutcome:
-    """Search for a fault-free tiling; exhausted-none means none exists."""
+    """Search for a fault-free tiling; exhausted-none means none exists.
+
+    Raises OracleRangeError on a board too deep to search (about 1,000 dominoes).
+    """
     return _search(board, fault_free=True, prune=prune)
 
 

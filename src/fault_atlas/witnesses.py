@@ -26,8 +26,6 @@ from .topology import BoardSpec, Topology, build_board
 
 CACHE_ENV = "FAULT_ATLAS_CACHE"
 
-Grown = tuple[BoardSpec, frozenset[EdgeKey]]  # a fault-free tiling as its board and edge keys
-
 
 class WitnessStore:
     """One JSON witness file per board in a configurable directory.
@@ -101,14 +99,6 @@ def _base_witness(board: BoardSpec) -> frozenset[EdgeKey]:
     return keys
 
 
-def _transpose(board: BoardSpec, keys: frozenset[EdgeKey]) -> Grown:
-    """Swap rows and columns of a torus tiling (tori are swap-symmetric)."""
-    if board.topology is not Topology.TORUS:
-        raise InvariantError(f"only a torus tiling can be transposed, not {board}")
-    flipped = build_board(Topology.TORUS, board.b, board.a)
-    return flipped, frozenset(("v" if axis == "h" else "h", line, off) for axis, line, off in keys)
-
-
 def _expansion_chain(board: BoardSpec) -> frozenset[EdgeKey]:
     """The edge keys grown from the nearest family base, one cut per axis."""
     fam, n, m = min(matching_tileable_families(board), key=lambda t: (t[1] + t[2], t[0].id))
@@ -120,9 +110,10 @@ def _expansion_chain(board: BoardSpec) -> frozenset[EdgeKey]:
                 current = _grow_keys(*current, axis, k)
     except ExpansionFailedError as exc:
         raise WitnessUnavailableError(f"the nearest family chain grows no witness for {board}") from exc
-    if board.topology is Topology.TORUS and board.a < board.b:
-        current = _transpose(*current)
     grown, keys = current
+    if board.topology is Topology.TORUS and board.a < board.b:  # tori are swap-symmetric: swap rows and columns
+        grown = build_board(Topology.TORUS, grown.b, grown.a)
+        keys = frozenset(("v" if axis == "h" else "h", line, off) for axis, line, off in keys)
     if grown != board:
         raise InvariantError(f"chain from {fam.base} grew {grown}, not {board}")
     return keys

@@ -225,3 +225,53 @@ def test_narrowed_prune_data_equals_the_full_rule():
                         not now & c and all(p & child for p in pairs) for c, pairs in near)
                     full = any(not now & 1 << c and all(p & child for p in curve_pairs[c]) for c in nearby)
                     assert narrowed == full, (board, eid, cover, crossed)
+
+
+@pytest.mark.parametrize("topo,a,b", [("rectangle", 4, 500), ("rectangle", 6, 334), ("cylinder", 4, 500)])
+def test_deep_boards_raise_a_range_error(topo, a, b):
+    """A search nests one call per domino; past the recursion limit it ends in one documented line."""
+    board = build_board(topo, a, b)
+    for find in (find_tiling, find_fault_free):
+        with pytest.raises(OracleRangeError, match=f"^{board} is too deep to search: ") as info:
+            find(board)
+        assert "\n" not in str(info.value)
+
+
+class TestFailedStateMemo:
+    @pytest.mark.parametrize("topo,a,b", [("rectangle", 64, 5), ("rectangle", 64, 6), ("cylinder", 64, 5)])
+    def test_boards_with_over_64_curves_found(self, topo, a, b):
+        # more than 64 curves each: a key packed as cover << 64 | crossed collides, and refutes cylinder 64'x5
+        board = build_board(topo, a, b)
+        outcome = find_fault_free(board)
+        assert outcome.status == "found"
+        assert verify(board, outcome.witness).fault_free
+
+    def test_hits_pinned(self):
+        outcome = find_fault_free(build_board("rectangle", 6, 6))
+        assert (outcome.status, outcome.nodes, outcome.pruned, outcome.memo_hits) == ("exhausted-none", 727, 289, 97)
+        assert search.SearchOutcome("found", None, 1).memo_hits == 0
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        """Each generation holds at most MEMO_GENERATION states, read whenever a node returns."""
+        monkeypatch.setattr(search, "MEMO_GENERATION", 16)
+        sizes = []
+
+        def on_return(frame, event, arg):
+            if event == "return":
+                sizes.append((len(frame.f_locals["young"]), len(frame.f_locals["old"])))
+
+        def on_call(frame, event, arg):
+            if frame.f_code.co_name == "grow" and frame.f_code.co_filename == search.__file__:
+                frame.f_trace_lines = False
+                return on_return
+            return None
+
+        sys.settrace(on_call)
+        try:
+            outcome = find_fault_free(build_board("rectangle", 6, 6), prune=False)
+        finally:
+            sys.settrace(None)
+        assert outcome.status == "exhausted-none" and outcome.memo_hits > 0
+        assert len(sizes) == outcome.nodes + outcome.memo_hits
+        assert max(max(pair) for pair in sizes) == 16  # full generations were kept, and none grew past 16
+        assert sum(young == 1 and old == 16 for young, old in sizes) > 1  # the young set was retired more than once

@@ -9,18 +9,22 @@
   count in `tests/conftest.py`, for area <= 16.
 
 The digest is the SHA-256 of `encode(witness)`, or `-` when there is no
-witness.  Regenerate the file only for a deliberate change of the search order:
+witness.  Regenerate the file only for a deliberate change to the search: a
+change of its order, which may move any column, or a change to its node and
+pruned counts alone (moving the failed-state memo's checks, say), after which
+the status and digest columns must be unchanged:
 
     PYTHONPATH=src python tests/test_search_golden.py > tests/golden/search_outcomes.txt
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from pathlib import Path
 from typing import Iterator
 
-from fault_atlas import Topology, build_board, encode, find_fault_free, find_tiling
+from fault_atlas import Topology, build_board, encode, find_fault_free, find_tiling, search
 from conftest import count_tilings
 
 GOLDEN = Path(__file__).parent / "golden" / "search_outcomes.txt"
@@ -57,6 +61,22 @@ def test_search_outcomes_match_golden():
     assert len(actual) == len(expected)
     changed = [(e, a) for e, a in zip(expected, actual) if e != a]
     assert not changed, f"{len(changed)} search outcomes changed, first: {changed[0]}"
+
+
+def test_memo_eviction_moves_only_node_counts(monkeypatch):
+    """With two states per memo generation, every search to area 24 keeps its golden status and witness."""
+    monkeypatch.setattr(search, "MEMO_GENERATION", 2)
+    golden = {tuple(fields[:4]): fields for fields in map(str.split, GOLDEN.read_text(encoding="utf-8").splitlines())}
+    moved = 0
+    for kind, find, max_area in (("fault-free", find_fault_free, 24),
+                                 ("unpruned", functools.partial(find_fault_free, prune=False), 24),
+                                 ("tiling", find_tiling, 20)):
+        for board in _boards(max_area):
+            actual = _line(kind, board, find(board)).split()
+            expected = golden[tuple(actual[:4])]
+            assert (actual[4], actual[6]) == (expected[4], expected[6]), actual
+            moved += actual[5] != expected[5]
+    assert moved  # the small memo forgot states and searched them again
 
 
 if __name__ == "__main__":
