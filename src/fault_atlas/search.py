@@ -32,21 +32,39 @@ shared by every move that needs the same curve with the same pairs.  One
 kernel serves all three searches; the modes without pruning get empty prune
 data.
 
-A subtree's result depends only on its node's (cover, crossed) pair, so the
-search remembers the states it has seen fail, in a failed-state memo.  It
-checks the memo only at nodes whose lowest free cell i starts a swept line
-(i % min(a, b) == 0), and stores a state there when its subtree fails; a memo
-at every node held 29,411 keys on torus 7'x6'.  The key is one int,
-`cover << n_curves | crossed`, which no two states share whatever the number
-of curves.  A state found in the memo is a hit: its subtree is not walked
-again, and it is not counted as a node.  The memo is bounded: two
-generations of at most MEMO_GENERATION (4,096) keys.  When the young set is
-full it becomes the old set, the previous old set is dropped, and a new young
-set starts, so at most 8,192 keys are live, and both sets are freed when the
-search returns.  A key is an int of area + n_curves bits, so the full memo
-takes about 0.5 MiB at area 80 and 2.9 MiB at area 1,980.  Forgetting a state
-only means walking it again, in the same DFS order, so eviction moves node
-counts, never a status or the first witness.
+On a cylinder, torus or Moebius strip with a >= 2 a fault-free search keeps
+one root move.  Every fault-free tiling crosses horizontal line 1, and only a
+vertical domino (0, c)-(1, c) can do that, or on a Moebius strip a domino
+(a-2, c)-(a-1, c) across line a-1, which lies on the same curve.  A shift
+along the glued columns (on a Moebius strip a glide, which flips the rows at
+each pass of the seam) maps that domino onto edge ("h", 1, 0), cells (0, 0)
+and (1, 0), and the image is again a fault-free tiling.  That edge is the
+first move at the root, since moves are tried vertical-first, so the root's
+other moves hold no tiling that the first one lacks: they are dropped, and
+the first witness stays the same.  A rectangle has no such shift, and an
+all-horizontal tiling crosses no line 1, so rectangles and `find_tiling`
+keep every root move.
+
+Which completions a node has depends only on its cover, and a completion
+succeeds exactly when it crosses every curve the node has not crossed yet
+(none need be crossed in `find_tiling`).  So if the state (cover, m) failed,
+every (cover, c) with c a subset of m fails too.  The search remembers the
+states it has seen fail in a failed-state memo: a dict from cover to the
+crossed masks that failed with it.  It checks the memo only at nodes whose
+lowest free cell i starts a swept line (i % min(a, b) == 0), and stores a
+state there when its subtree fails; a memo at every node held 29,411 keys
+on torus 7'x6'.  A state whose crossed mask is a subset of a stored one is
+a hit: its subtree is not walked, and it is not counted as a node.  The
+memo is bounded: two generations of at most MEMO_GENERATION (4,096) masks.
+When the young generation is full it becomes the old one, the previous old
+one is dropped, and a new young one starts, so at most 8,192 masks are
+live, and both generations are freed when the search returns.  A mask
+costs an int and a tuple slot and, with its own cover, a dict entry and an
+int of `area` bits: a full memo takes at most about 1.2 MiB at area 80 and
+4.1 MiB at area 1,980.  On the boards to area 48 the largest memo, on torus
+7'x6', peaks at about 0.16 MiB.  Forgetting a state only means walking it
+again, in the same DFS order, so eviction moves node counts, never a status
+or the first witness.
 
 The search nests one call per domino placed, so a board of about 1,000
 dominoes or more runs past the interpreter's recursion limit; that ends in
@@ -66,7 +84,7 @@ FOUND = "found"
 EXHAUSTED = "exhausted-none"
 
 ORACLE_CEILING = 48
-MEMO_GENERATION = 4096  # failed states per memo generation; two generations are kept
+MEMO_GENERATION = 4096  # failed crossed masks per memo generation; two generations are kept
 
 
 class SearchOutcome(NamedTuple):
@@ -167,22 +185,28 @@ def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool) -> tuple:
     if prune and not all(geo.pairs):  # a curve no domino crosses: no tiling is fault-free
         return False, 0, 0, 0, []
     moves, full = geo.moves(prune), geo.full
+    if fault_free and board.topology is not _RECTANGLE and board.a > 1:
+        # Some shift along the glued columns puts a domino across line 1 on edge ("h", 1, 0).
+        moves[0] = moves[0][:1]
+        if geo.edges[moves[0][0][2]][:3] != ("h", 1, 0):
+            raise InvariantError(f"the first move at the root of {board} is not edge ('h', 1, 0)")
     need = (1 << len(geo.pairs)) - 1 if fault_free else 0  # the curves a leaf must cross
-    width, shift = min(board.a, board.b), len(geo.pairs)
-    nodes = pruned = hits = 0
-    young: set[int] = set()  # failed states at line starts, newest generation
-    old: set[int] = set()
+    width = min(board.a, board.b)
+    nodes = pruned = hits = stored = 0
+    young: dict[int, tuple[int, ...]] = {}  # cover -> crossed masks that failed with it at a line start
+    old: dict[int, tuple[int, ...]] = {}  # the generation before young
     path: list[int] = []  # the found branch's edge ids, collected as it unwinds
 
     def grow(cover: int, crossed: int) -> bool:
-        nonlocal nodes, pruned, hits, young, old
+        nonlocal nodes, pruned, hits, stored, young, old
         i = (~cover & (cover + 1)).bit_length() - 1  # every cell below the lowest free one is covered
-        key = None
-        if not i % width:  # i starts a swept line
-            key = cover << shift | crossed
-            if key in young or key in old:
-                hits += 1
-                return False
+        line_start = not i % width
+        if line_start:
+            for masks in young.get(cover, ()), old.get(cover, ()):
+                for failed in masks:
+                    if not crossed & ~failed:  # (cover, failed) failed and crossed is a subset of failed
+                        hits += 1
+                        return False
         nodes += 1
         for mask, bit, eid, must, near in moves[i]:
             if mask & cover:
@@ -208,10 +232,11 @@ def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool) -> tuple:
                 elif grow(child, now):
                     path.append(eid)
                     return True
-        if key is not None:
-            if len(young) == MEMO_GENERATION:
-                old, young = young, set()
-            young.add(key)
+        if line_start:
+            if stored == MEMO_GENERATION:
+                old, young, stored = young, {}, 0
+            young[cover] = young.get(cover, ()) + (crossed,)
+            stored += 1
         return False
 
     try:

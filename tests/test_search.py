@@ -11,7 +11,9 @@ import textwrap
 import pytest
 
 from fault_atlas import (
+    InvariantError,
     OracleRangeError,
+    Tiling,
     Topology,
     build_board,
     fault_curves,
@@ -240,7 +242,7 @@ def test_deep_boards_raise_a_range_error(topo, a, b):
 class TestFailedStateMemo:
     @pytest.mark.parametrize("topo,a,b", [("rectangle", 64, 5), ("rectangle", 64, 6), ("cylinder", 64, 5)])
     def test_boards_with_over_64_curves_found(self, topo, a, b):
-        # more than 64 curves each: a key packed as cover << 64 | crossed collides, and refutes cylinder 64'x5
+        # more than 64 curves each, so the crossed masks the memo keeps are wider than a machine word
         board = build_board(topo, a, b)
         outcome = find_fault_free(board)
         assert outcome.status == "found"
@@ -248,17 +250,17 @@ class TestFailedStateMemo:
 
     def test_hits_pinned(self):
         outcome = find_fault_free(build_board("rectangle", 6, 6))
-        assert (outcome.status, outcome.nodes, outcome.pruned, outcome.memo_hits) == ("exhausted-none", 727, 289, 97)
+        assert (outcome.status, outcome.nodes, outcome.pruned, outcome.memo_hits) == ("exhausted-none", 600, 226, 89)
         assert search.SearchOutcome("found", None, 1).memo_hits == 0
 
     def test_memo_stays_within_its_bound(self, monkeypatch):
-        """Each generation holds at most MEMO_GENERATION states, read whenever a node returns."""
+        """Each generation holds at most MEMO_GENERATION crossed masks, read whenever a node returns."""
         monkeypatch.setattr(search, "MEMO_GENERATION", 16)
         sizes = []
 
         def on_return(frame, event, arg):
             if event == "return":
-                sizes.append((len(frame.f_locals["young"]), len(frame.f_locals["old"])))
+                sizes.append(tuple(sum(map(len, frame.f_locals[name].values())) for name in ("young", "old")))
 
         def on_call(frame, event, arg):
             if frame.f_code.co_name == "grow" and frame.f_code.co_filename == search.__file__:
@@ -272,6 +274,75 @@ class TestFailedStateMemo:
         finally:
             sys.settrace(None)
         assert outcome.status == "exhausted-none" and outcome.memo_hits > 0
+        assert (outcome.nodes, outcome.memo_hits) == (13701, 1603)  # 19,672 and 1,436 if the old generation went unread
         assert len(sizes) == outcome.nodes + outcome.memo_hits
         assert max(max(pair) for pair in sizes) == 16  # full generations were kept, and none grew past 16
         assert sum(young == 1 and old == 16 for young, old in sizes) > 1  # the young set was retired more than once
+
+
+def column_step(board, key):
+    """An edge key moved one column left along the glue; across the Moebius seam the rows flip."""
+    axis, line, offset = key
+    twisted = board.topology is Topology.MOBIUS
+    if axis == "h":
+        return (axis, line, offset - 1) if offset else (axis, board.a - line if twisted else line, board.b - 1)
+    if line == 1 and twisted:
+        return axis, 0, board.a - 1 - offset
+    return axis, (line - 1) % board.b, offset
+
+
+def cell_step(board, cell):
+    r, c = cell
+    return (r, c - 1) if c else (board.a - 1 - r if board.topology is Topology.MOBIUS else r, board.b - 1)
+
+
+WRAPPED = (Topology.CYLINDER, Topology.TORUS, Topology.MOBIUS)
+
+
+class TestOneRootMove:
+    def test_some_shift_of_every_fault_free_tiling_holds_the_root_edge(self):
+        """The lemma behind the search's one root move, checked tiling by tiling to area 20."""
+        checked = 0
+        for board in boards_upto(20, max_area=20, topologies=WRAPPED):
+            if board.a == 1:
+                continue
+            by_key = {p.edge: p for p in placements(board)}
+            step = {}
+            for p in placements(board):
+                image = by_key[column_step(board, p.edge)]
+                assert sorted(image.cells) == sorted(cell_step(board, cell) for cell in p.cells), (board, p)
+                step[p.edge] = image
+            period = 2 * board.b if board.topology is Topology.MOBIUS else board.b  # the glide flips rows each lap
+            for tiling in enumerate_fault_free(board):
+                dominoes = tiling.dominoes
+                for _ in range(period):
+                    if any(p.edge == ("h", 1, 0) for p in dominoes):
+                        break
+                    dominoes = frozenset(step[p.edge] for p in dominoes)
+                else:
+                    pytest.fail(f"no shift of {sorted(p.edge for p in tiling.dominoes)} on {board} holds ('h', 1, 0)")
+                assert verify(board, Tiling(board, dominoes)).fault_free, board
+                checked += 1
+        assert checked == 86
+
+    def test_the_first_root_move_is_the_root_edge(self):
+        for board in boards_upto(24, topologies=WRAPPED):
+            if board.a > 1:
+                geo = _Geometry(board)
+                for prune in (True, False):
+                    assert geo.edges[geo.moves(prune)[0][0][2]][:3] == ("h", 1, 0), (board, prune)
+
+    def test_another_first_move_raises(self, monkeypatch):
+        moves = _Geometry.moves
+
+        def root_reversed(geo, prune):
+            table = moves(geo, prune)
+            table[0].reverse()
+            return table
+
+        monkeypatch.setattr(_Geometry, "moves", root_reversed)
+        board = build_board("cylinder", 4, 6)
+        for prune in (True, False):
+            with pytest.raises(InvariantError, match="is not edge"):
+                find_fault_free(board, prune=prune)
+        assert find_tiling(board).status == "found"  # any tiling: every root move stays
