@@ -23,14 +23,14 @@ vertical-first, then horizontal, then wrapping; then by line, offset and
 edge id, which makes node counts reproducible.
 
 Every cell below the expanded cell i is covered, so only the dominoes whose
-other cell lies above i are moves at i, and only a crossing pair with both
-cells above i can be free in the child.  The prune data is narrowed to that
-once per board: the nearby curves with no pair above i form one `must` mask
-(the child is cut if one of them is uncrossed), and every other nearby curve
-keeps its pairs above i, highest lower cell first.  Those prefixes are tuples
-shared by every move that needs the same curve with the same pairs.  One
-kernel serves all three searches; the modes without pruning get empty prune
-data.
+other cell lies above i are moves at i.  Each move carries, for every other
+curve at its two cells, that curve's whole tuple of crossing pairs, one tuple
+per curve shared by all its moves.  Scanning the whole tuple cuts the same
+children as scanning only the pairs above i would: a pair whose lower cell is
+below i is covered already, and one whose lower cell is i is covered in the
+child, so neither is ever free, and a curve with no pair above i is still
+cut.  One kernel serves all three searches; the modes without pruning get
+empty prune data.
 
 On a cylinder, torus or Moebius strip with a >= 2 a fault-free search keeps
 one root move.  Every fault-free tiling crosses horizontal line 1, and only a
@@ -127,49 +127,24 @@ class _Geometry:
     def moves(self, prune: bool) -> list[list[tuple]]:
         """moves[i]: the placements whose lower cell is i, in tie-break order.
 
-        A move is (cells mask, curve bit, edge id, must, near).  When pruning,
-        `must` has the bits of the curves that share a cell with the domino and
-        have no crossing pair above cell i, so the child is cut if one of them
-        is uncrossed; `near` has (curve bit, its pairs above cell i) for the
-        other such curves.  Without pruning both are empty.
+        A move is (cells mask, curve bit, edge id, near).  When pruning, `near`
+        has (curve bit, crossing pairs) for every other curve that shares a cell
+        with the domino; without pruning it is empty.
         """
         bits, curve = self.bits, self.curve
-        cells = range(self.full.bit_length())
-        order: list[list[int]] = [[] for _ in cells]
-        # vertical dominoes, horizontal, then wraps; then line, offset, edge id
-        for *_key, eid in sorted((2 if line == 0 else 0 if axis == "h" else 1, line, offset, eid)
-                                for eid, (axis, line, offset, _cells) in enumerate(self.edges)):
-            order[bits[eid][0]].append(eid)
-        at: list[set[int]] = [set() for _ in cells]  # the curves of the edges at each cell
+        moves: list[list[tuple]] = [[] for _ in range(self.full.bit_length())]
+        at: list[set[int]] = [set() for _ in moves]  # the curves of the edges at each cell
         if prune:
             for (i, j), k in zip(bits, curve):
                 at[i].add(k)
                 at[j].add(k)
-        # The cut moves down from the top cell.  above[c] holds curve c's pairs
-        # above the cut, highest lower cell first: the search covers low bits
-        # first, so free pairs are likelier among the high ones.
-        above: list[list[int]] = [[] for _ in self.pairs]
-        entry: list[tuple | None] = [None] * len(above)  # (curve bit, above[c] frozen), shared
-        moves: list[list[tuple]] = [[] for _ in cells]
-        for i in reversed(cells):
-            for eid in order[i]:
-                j = bits[eid][1]
-                k = curve[eid]
-                must = 0
-                near = []
-                for c in at[i] | at[j]:
-                    if c == k:
-                        continue
-                    if not above[c]:
-                        must |= 1 << c
-                        continue
-                    if entry[c] is None:
-                        entry[c] = (1 << c, tuple(above[c]))
-                    near.append(entry[c])
-                moves[i].append((1 << i | 1 << j, 1 << k, eid, must, tuple(near)))
-            for mask, _bit, eid, _must, _near in moves[i]:  # pairs with lower cell i lie above lower cuts
-                above[curve[eid]].append(mask)
-                entry[curve[eid]] = None
+        # Highest pair first: the search covers low bits first, so free pairs are likelier among the high ones.
+        entry = [(1 << c, tuple(sorted(pairs, reverse=True))) for c, pairs in enumerate(self.pairs)]
+        # vertical dominoes, horizontal, then wraps; then line, offset, edge id
+        for *_key, eid in sorted((2 if line == 0 else 0 if axis == "h" else 1, line, offset, eid)
+                                for eid, (axis, line, offset, _cells) in enumerate(self.edges)):
+            (i, j), k = bits[eid], curve[eid]
+            moves[i].append((1 << i | 1 << j, 1 << k, eid, tuple(entry[c] for c in at[i] | at[j] if c != k)))
         return moves
 
 
@@ -208,14 +183,11 @@ def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool) -> tuple:
                         hits += 1
                         return False
         nodes += 1
-        for mask, bit, eid, must, near in moves[i]:
+        for mask, bit, eid, near in moves[i]:
             if mask & cover:
                 continue
             child = cover | mask
             now = crossed | bit
-            if must & ~now:
-                pruned += 1
-                continue
             for k, pairs in near:
                 if not now & k:
                     for p in pairs:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import random
 import subprocess
 import sys
 import textwrap
@@ -140,7 +139,7 @@ def cell_bit(geo, cell):
     return geo.row_bit[r] + geo.col_bit[c]
 
 
-def test_geometry_caps_match_fault_curves():
+def test_geometry_pairs_match_fault_curves():
     for board in boards_upto(10):
         geo = _Geometry(board)
         pairs = geo.pairs
@@ -196,37 +195,34 @@ def test_searches_leave_no_reference_cycles():
         gc.enable()
 
 
-def test_narrowed_prune_data_equals_the_full_rule():
-    """Each move sits at its lower cell, and must/near decide as the full fault-curve rule does."""
-    rng = random.Random(14)
+def test_move_table_carries_each_curves_whole_pair_list():
+    """Each move sits at its lower cell and carries every other curve at its cells, with all that curve's pairs."""
     for board in boards_upto(24, max_area=24):
         geo = _Geometry(board)
         moves = geo.moves(True)
-        curve_pairs = {c.id: [sum(1 << cell_bit(geo, cell) for cell in p.cells)
-                              for p in placements(board) if p.edge in c.crossing_edges]
+        curve_pairs = {c.id: {sum(1 << cell_bit(geo, cell) for cell in p.cells)
+                              for p in placements(board) if p.edge in c.crossing_edges}
                        for c in fault_curves(board)}
         curve_at = [set() for _ in range(board.area)]  # curves with a crossing edge at each cell
         for p in placements(board):
             for cell in p.cells:
                 curve_at[cell_bit(geo, cell)].add(_curve_id(board, p.edge.axis, p.edge.line))
-        assert sorted(move[2] for row in moves for move in row) == list(range(len(geo.edges)))
+        assert sorted(move[2] for row in moves for move in row) == list(range(len(geo.edges))), board
+        tuples = {}  # curve -> the ids of its pair tuples across the table
         for i, row in enumerate(moves):
-            for mask, bit, eid, must, near in row:
+            for mask, bit, eid, near in row:
                 axis, line, _offset, cells = geo.edges[eid]
                 j = mask.bit_length() - 1
                 assert mask & -mask == 1 << i and j > i and mask == sum(1 << cell_bit(geo, cell) for cell in cells)
                 k = _curve_id(board, axis, line)
                 assert bit == 1 << k
-                nearby = (curve_at[i] | curve_at[j]) - {k}
-                free = [n for n in range(i + 1, board.area) if n != j]
-                for _ in range(6):  # every cell below i covered, the rest at random
-                    cover = (1 << i) - 1 | sum(1 << n for n in free if rng.random() < 0.5)
-                    crossed = rng.getrandbits(len(curve_pairs)) if rng.random() < 0.7 else 0
-                    child, now = cover | mask, crossed | bit
-                    narrowed = bool(must & ~now) or any(
-                        not now & c and all(p & child for p in pairs) for c, pairs in near)
-                    full = any(not now & 1 << c and all(p & child for p in curve_pairs[c]) for c in nearby)
-                    assert narrowed == full, (board, eid, cover, crossed)
+                nearby = {c.bit_length() - 1: pairs for c, pairs in near}
+                assert len(nearby) == len(near) and nearby.keys() == (curve_at[i] | curve_at[j]) - {k}, (board, eid)
+                for c, pairs in nearby.items():
+                    assert len(pairs) == len(curve_pairs[c]) and set(pairs) == curve_pairs[c], (board, eid, c)
+                    assert list(pairs) == sorted(pairs, reverse=True), (board, eid, c)
+                    tuples.setdefault(c, set()).add(id(pairs))
+        assert all(len(ids) == 1 for ids in tuples.values()), board  # one shared tuple per curve
 
 
 @pytest.mark.parametrize("topo,a,b", [("rectangle", 4, 500), ("rectangle", 6, 334), ("cylinder", 4, 500)])
