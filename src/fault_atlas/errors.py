@@ -18,12 +18,7 @@ class WitnessDecodeError(FaultAtlasError):
 
 
 class OracleRangeError(FaultAtlasError):
-    """A board is out of the search's reach.
-
-    Its area exceeds the oracle ceiling, or its search nests deeper than the
-    interpreter's recursion limit: one call per domino placed, so about
-    1,000 dominoes at the default limit.
-    """
+    """A board's area exceeds the oracle ceiling."""
 
 
 class ExpansionFailedError(FaultAtlasError):

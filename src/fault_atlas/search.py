@@ -9,7 +9,8 @@ crossing pair (no crossing edge with both cells uncovered).
 Cells are only ever covered deeper in the tree, so no completion can cross
 that curve and the subtree contains no fault-free tiling.
 
-The state is two integers passed by value, so nothing is undone.  Bit i of
+The state is two integers, so nothing is undone.  The walk keeps its open
+nodes on an explicit stack, so no recursion limit bounds its depth.  Bit i of
 the cover mask is the i-th cell of the sweep, so the cell to expand is the
 lowest zero bit.  The sweep runs along the board's long side: row by row when
 a > b, else column by column, the cells of each line in order.  A glued
@@ -65,15 +66,10 @@ int of `area` bits: a full memo takes at most about 1.2 MiB at area 80 and
 7'x6', peaks at about 0.16 MiB.  Forgetting a state only means walking it
 again, in the same DFS order, so eviction moves node counts, never a status
 or the first witness.
-
-The search nests one call per domino placed, so a board of about 1,000
-dominoes or more runs past the interpreter's recursion limit; that ends in
-`OracleRangeError` with a one-line message, not a traceback.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import NamedTuple
 
 from .errors import InvariantError, OracleRangeError
@@ -167,23 +163,17 @@ def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool) -> tuple:
             raise InvariantError(f"the first move at the root of {board} is not edge ('h', 1, 0)")
     need = (1 << len(geo.pairs)) - 1 if fault_free else 0  # the curves a leaf must cross
     width = min(board.a, board.b)
-    nodes = pruned = hits = stored = 0
+    pruned = hits = stored = 0
     young: dict[int, tuple[int, ...]] = {}  # cover -> crossed masks that failed with it at a line start
     old: dict[int, tuple[int, ...]] = {}  # the generation before young
-    path: list[int] = []  # the found branch's edge ids, collected as it unwinds
-
-    def grow(cover: int, crossed: int) -> bool:
-        nonlocal nodes, pruned, hits, stored, young, old
-        i = (~cover & (cover + 1)).bit_length() - 1  # every cell below the lowest free one is covered
-        line_start = not i % width
-        if line_start:
-            for masks in young.get(cover, ()), old.get(cover, ()):
-                for failed in masks:
-                    if not crossed & ~failed:  # (cover, failed) failed and crossed is a subset of failed
-                        hits += 1
-                        return False
-        nodes += 1
-        for mask, bit, eid, near in moves[i]:
+    # The open node is (cover, crossed, line_start, untried moves); each open ancestor waits
+    # on the stack as that tuple plus the edge id of the child it is in.  The root starts a
+    # line and meets an empty memo.
+    stack: list[tuple] = []
+    cover = crossed = 0
+    line_start, untried, nodes = True, iter(moves[0]), 1
+    while True:
+        for mask, bit, eid, near in untried:
             if mask & cover:
                 continue
             child = cover | mask
@@ -199,27 +189,28 @@ def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool) -> tuple:
             else:
                 if child == full:
                     if not need & ~now:
-                        path.append(eid)
-                        return True
-                elif grow(child, now):
-                    path.append(eid)
-                    return True
-        if line_start:
-            if stored == MEMO_GENERATION:
-                old, young, stored = young, {}, 0
-            young[cover] = young.get(cover, ()) + (crossed,)
-            stored += 1
-        return False
-
-    try:
-        found = grow(0, 0)
-    except RecursionError:  # one nested call per domino placed
-        found = None  # raised below, once the unwound frames are gone
-    del grow  # the closure refers to itself; unlink it so the tables are freed at once
-    if found is None:
-        raise OracleRangeError(f"{board} is too deep to search: {board.area // 2} dominoes, one nested call "
-                               f"each, past the recursion limit of {sys.getrecursionlimit()}")
-    return found, nodes, pruned, hits, [geo.edges[eid][:3] for eid in path]
+                        path = [e for *_, e in stack] + [eid]  # the edge ids from the root down
+                        return True, nodes, pruned, hits, [geo.edges[e][:3] for e in path]
+                    continue
+                i = (~child & (child + 1)).bit_length() - 1  # every cell below the lowest free one is covered
+                for failed in young.get(child, ()) + old.get(child, ()) if not i % width else ():
+                    if not now & ~failed:  # (child, failed) failed and now is a subset of failed
+                        hits += 1
+                        break
+                else:  # descend into the child
+                    nodes += 1
+                    stack.append((cover, crossed, line_start, untried, eid))
+                    cover, crossed, line_start, untried = child, now, not i % width, iter(moves[i])
+                    break
+        else:  # every move tried: the open node fails
+            if line_start:
+                if stored == MEMO_GENERATION:
+                    old, young, stored = young, {}, 0
+                young[cover] = young.get(cover, ()) + (crossed,)
+                stored += 1
+            if not stack:
+                return False, nodes, pruned, hits, []
+            cover, crossed, line_start, untried, _ = stack.pop()
 
 
 def _search(board: BoardSpec, *, fault_free: bool, prune: bool) -> SearchOutcome:
@@ -235,18 +226,12 @@ def _search(board: BoardSpec, *, fault_free: bool, prune: bool) -> SearchOutcome
 
 
 def find_tiling(board: BoardSpec) -> SearchOutcome:
-    """Search for any perfect matching; exhausted-none is definitive.
-
-    Raises OracleRangeError on a board too deep to search (about 1,000 dominoes).
-    """
+    """Search for any perfect matching; exhausted-none is definitive."""
     return _search(board, fault_free=False, prune=False)
 
 
 def find_fault_free(board: BoardSpec, *, prune: bool = True) -> SearchOutcome:
-    """Search for a fault-free tiling; exhausted-none means none exists.
-
-    Raises OracleRangeError on a board too deep to search (about 1,000 dominoes).
-    """
+    """Search for a fault-free tiling; exhausted-none means none exists."""
     return _search(board, fault_free=True, prune=prune)
 
 
