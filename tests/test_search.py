@@ -231,17 +231,20 @@ def nested(depth, find, board):
     return find(board) if depth == 0 else nested(depth - 1, find, board)
 
 
-def test_deep_boards_search_to_completion():
+@pytest.mark.parametrize("topo,a,b", [("rectangle", 4, 500), ("rectangle", 6, 334), ("cylinder", 4, 500), ("rectangle", 4, 4000)])
+def test_deep_boards_search_to_completion(topo, a, b):
     """A search keeps its open nodes on a stack of its own: a thousand dominoes and more run to completion."""
-    for topo, a, b in ("rectangle", 4, 500), ("rectangle", 6, 334), ("cylinder", 4, 500), ("rectangle", 4, 4000):
-        board = build_board(topo, a, b)
-        tiling = find_tiling(board)
-        assert tiling.status == "found", board  # every board here has an even area and a domino tiling
-        assert verify(board, tiling.witness).matching_valid, board
-        outcome = find_fault_free(board)
-        assert (outcome.status == "found") == classify(board).tileable, board
-        assert outcome.witness is None or verify(board, outcome.witness).fault_free, board
-    # the answer does not depend on how deep in the caller's stack the search starts
+    board = build_board(topo, a, b)
+    tiling = find_tiling(board)
+    assert tiling.status == "found", board  # every board here has an even area and a domino tiling
+    assert verify(board, tiling.witness).matching_valid, board
+    outcome = find_fault_free(board)
+    assert (outcome.status == "found") == classify(board).tileable, board
+    assert outcome.witness is None or verify(board, outcome.witness).fault_free, board
+
+
+def test_search_answer_does_not_depend_on_caller_depth():
+    """A search started from deep in the caller's stack ends as one started from the top."""
     board = build_board("rectangle", 4, 496)
     for find in (find_tiling, find_fault_free):
         top, deep = find(board), nested(900, find, board)
