@@ -4,10 +4,12 @@ The construction cuts the board along a transversal path that follows tile
 boundaries (it never crosses a placed domino's interior segment), shifts one
 side by two, and fills the freed width-2 band with parallel dominoes, one per
 path step, each offset to follow the path.  Candidate paths are enumerated
-depth-first; a path is accepted only if the rebuilt tiling re-verifies
-fault-free on the enlarged board, so the search never has to trust the
-construction argument.  The search reads and writes edge keys (axis, line,
-offset) only; `expand` turns them into placements once, at the end.
+depth-first on an explicit stack, each open step's untried positions in a
+list, so no recursion limit bounds a path's length.  A path is accepted only
+if the rebuilt tiling re-verifies fault-free on the enlarged board, so the
+search never has to trust the construction argument.  The search reads and
+writes edge keys (axis, line, offset) only; `expand` turns them into
+placements once, at the end.
 
 One accepted path serves any number of bands: growing by k double rows or
 columns shifts the far side by 2k and lays k parallel bands along the same
@@ -37,113 +39,34 @@ from .topology import BoardSpec, build_board
 ROWS = "rows"
 COLS = "cols"
 
-_PLAIN = "plain"
-_TWISTED = "twisted"
-
 _MAX_LEAVES = 512
 _MAX_NODES = 200_000
 
 
-def _candidate_order(limit: int, anchor: int, first: bool) -> list[int]:
-    if first:
-        return sorted(range(limit + 1), key=lambda h: (abs(2 * h - limit), h))
-    return sorted(range(limit + 1), key=lambda h: (abs(h - anchor) != 1, abs(h - anchor), h))
+def _grow_keys(board: BoardSpec, keys: frozenset[EdgeKey],
+               axis: str, k: int) -> tuple[BoardSpec, frozenset[EdgeKey]]:
+    """One cut search and k bands along its path: `keys` must verify fault-free on `board`,
+    `axis` be ROWS or COLS and k >= 1.
 
+    Returns the board grown by 2k rows or columns and its tiling's edge keys,
+    for the first cut path whose one-band rebuild verifies fault-free.
+    """
+    topo, a, b = board.topology, board.a, board.b
+    seam = topo.twisted if topo.wraps_cols else None  # each gluing: None absent, False plain, True twisted
+    row_edge = False if topo.wraps_rows else None
+    if axis == ROWS:  # one step per column, crossing horizontal lines
+        along, cross, steps, limit, ends, closure = "h", "v", b, a, row_edge, seam
+    else:  # one step per row, crossing vertical lines
+        along, cross, steps, limit, ends, closure = "v", "h", a, b, seam, row_edge
 
-class _Cut:
-    """DFS over cut paths; __init__ turns the axis and topology into line kinds, sizes and gluings."""
+    def grown(k: int) -> BoardSpec:
+        return build_board(topo, a + 2 * k, b) if axis == ROWS else build_board(topo, a, b + 2 * k)
 
-    def __init__(self, board: BoardSpec, keys: frozenset[EdgeKey], axis: str) -> None:
-        self.board = board
-        topo, a, b = board.topology, board.a, board.b
-        self.axis = axis
-        self.placed = keys
-        seam = (_TWISTED if topo.twisted else _PLAIN) if topo.wraps_cols else None
-        row_edge = _PLAIN if topo.wraps_rows else None
-        if axis == ROWS:  # one step per column, crossing horizontal lines
-            self.along, self.cross, self.steps, self.limit = "h", "v", b, a
-            self.ends, self.closure = row_edge, seam
-        else:  # one step per row, crossing vertical lines
-            self.along, self.cross, self.steps, self.limit = "v", "h", a, b
-            self.ends, self.closure = seam, row_edge
-        self.new_board = self.grown_board(1)
-        self.leaves = 0
-        self.nodes = 0
+    def run_blocked(line: int, p: int, q: int) -> bool:
+        """Is the connecting run at boundary line `line` between positions p and q on a tile interior?"""
+        return any((cross, line, y) in keys for y in range(min(p, q), max(p, q)))
 
-    def grown_board(self, k: int) -> BoardSpec:
-        da, db = (2 * k, 0) if self.axis == ROWS else (0, 2 * k)
-        return build_board(self.board.topology, self.board.a + da, self.board.b + db)
-
-    # -- blocking predicates -------------------------------------------------
-
-    def _step_blocked(self, i: int, pos: int) -> bool:
-        """Is the path segment across step i at position pos on a tile interior?"""
-        if 0 < pos < self.limit:
-            return (self.along, pos, i) in self.placed
-        if self.ends is None:
-            return False
-        if self.ends == _TWISTED and pos == 0:  # the low end of step i meets step steps-1-i
-            i = self.steps - 1 - i
-        return (self.along, 0, i) in self.placed  # positions 0 and limit are glued line 0
-
-    def _run_blocked(self, i: int, p: int, q: int) -> bool:
-        """Is the connecting run at boundary line i between positions p and q blocked?"""
-        lo, hi = (p, q) if p <= q else (q, p)
-        return any((self.cross, i, y) in self.placed for y in range(lo, hi))
-
-    def _closure_ok(self, first: int, last: int) -> bool:
-        if self.closure is None:
-            return True
-        if self.closure == _TWISTED:
-            # Positions flip across the twist: the path re-enters at limit-last
-            # and may run along the glued line to first.  Glued segments are
-            # indexed by their last-step offset, so a run over first-step
-            # offsets [lo, hi) blocks the flipped ones.
-            lo, hi = sorted((self.limit - last, first))
-            return not any((self.cross, 0, self.limit - 1 - y) in self.placed for y in range(lo, hi))
-        return not self._run_blocked(0, last, first)
-
-    # -- search --------------------------------------------------------------
-
-    def search(self) -> list[int]:
-        """The first cut path whose one-band rebuild verifies fault-free."""
-        path = self._dfs([])
-        if path is None:
-            raise ExpansionFailedError(
-                f"no verifying cut path for {self.board} axis={self.axis}"
-            )
-        return path
-
-    def _dfs(self, path: list[int]) -> list[int] | None:
-        i = len(path)
-        if i == self.steps:
-            if not self._closure_ok(path[0], path[-1]):
-                return None
-            self.leaves += 1
-            if self.leaves > _MAX_LEAVES:
-                raise ExpansionFailedError(f"cut search leaf budget exhausted on {self.board}")
-            if _verify_keys(self.new_board, self._rebuild(path, 1)).fault_free:
-                return list(path)
-            return None
-        order = _candidate_order(self.limit, path[-1] if path else self.limit // 2, not path)
-        for pos in order:
-            self.nodes += 1
-            if self.nodes > _MAX_NODES:
-                raise ExpansionFailedError(f"cut search node budget exhausted on {self.board}")
-            if self._step_blocked(i, pos):
-                continue
-            if path and self._run_blocked(i, path[-1], pos):
-                continue
-            path.append(pos)
-            found = self._dfs(path)
-            path.pop()
-            if found is not None:
-                return found
-        return None
-
-    # -- rebuilding ----------------------------------------------------------
-
-    def _rebuild(self, path: list[int], k: int) -> list[EdgeKey]:
+    def rebuild(k: int) -> list[EdgeKey]:
         """Shift every domino beyond the cut by 2k and fill k bands, one domino per step each.
 
         A domino across line `line` of the crossed kind lies beyond the cut
@@ -153,27 +76,63 @@ class _Cut:
         """
         shift = 2 * k
         new_edges: list[EdgeKey] = []
-        for axis, line, off in self.placed:
-            if axis == self.along:
+        for kind, line, off in keys:
+            if kind == along:
                 if line and line >= path[off]:
                     line += shift
             elif off >= path[line - 1]:
                 off += shift
-            new_edges.append((axis, line, off))
-        new_edges.extend((self.along, pos + 1 + 2 * j, i)
-                         for j in range(k) for i, pos in enumerate(path))
+            new_edges.append((kind, line, off))
+        new_edges.extend((along, pos + 1 + 2 * j, i) for j in range(k) for i, pos in enumerate(path))
         return new_edges
 
-
-def _grow_keys(board: BoardSpec, keys: frozenset[EdgeKey],
-               axis: str, k: int) -> tuple[BoardSpec, frozenset[EdgeKey]]:
-    """One cut search and k bands along its path: `keys` must verify fault-free on `board`,
-    `axis` be ROWS or COLS and k >= 1.
-
-    Returns the board grown by 2k rows or columns and its tiling's edge keys.
-    """
-    cut = _Cut(board, keys, axis)
-    return cut.grown_board(k), frozenset(cut._rebuild(cut.search(), k))
+    # untried[i] lists step i's candidate positions not yet tried, the next one last:
+    # the first step from the middle outwards, each later one nearest its predecessor first.
+    path: list[int] = []
+    untried = [sorted(range(limit + 1), key=lambda h: (abs(2 * h - limit), h), reverse=True)]
+    leaves = nodes = 0
+    while untried:
+        if not untried[-1]:
+            untried.pop()
+            if path:
+                path.pop()
+            continue
+        i, pos = len(path), untried[-1].pop()
+        nodes += 1
+        if nodes > _MAX_NODES:
+            raise ExpansionFailedError(f"cut search node budget exhausted on {board}")
+        # Is the path segment across step i on a tile interior?  Positions 0 and limit
+        # are glued line 0, where across a twist the low end of step i meets step steps-1-i.
+        if 0 < pos < limit:
+            blocked = (along, pos, i) in keys
+        else:
+            blocked = ends is not None and (along, 0, steps - 1 - i if ends and pos == 0 else i) in keys
+        if blocked or path and run_blocked(i, path[-1], pos):
+            continue
+        path.append(pos)
+        if len(path) < steps:
+            untried.append(sorted(range(limit + 1), reverse=True,
+                                  key=lambda h: (abs(h - pos) != 1, abs(h - pos), h)))
+            continue
+        if closure is None:
+            closed = True
+        elif closure:
+            # Positions flip across the twist: the path re-enters at limit-last
+            # and may run along the glued line to first.  Glued segments are
+            # indexed by their last-step offset, so a run over first-step
+            # offsets [lo, hi) blocks the flipped ones.
+            lo, hi = sorted((limit - path[-1], path[0]))
+            closed = not any((cross, 0, limit - 1 - y) in keys for y in range(lo, hi))
+        else:
+            closed = not run_blocked(0, path[-1], path[0])
+        if closed:
+            leaves += 1
+            if leaves > _MAX_LEAVES:
+                raise ExpansionFailedError(f"cut search leaf budget exhausted on {board}")
+            if _verify_keys(grown(1), rebuild(1)).fault_free:
+                return grown(k), frozenset(rebuild(k))
+        path.pop()
+    raise ExpansionFailedError(f"no verifying cut path for {board} axis={axis}")
 
 
 def expand(tiling: Tiling, axis: str) -> Tiling:

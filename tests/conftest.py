@@ -69,6 +69,11 @@ def package_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def nested(depth, find, board):
+    """find(board), called from about `depth` frames deeper than the caller."""
+    return find(board) if depth == 0 else nested(depth - 1, find, board)
+
+
 def base_witnesses(topology: Topology) -> list[tuple[BoardSpec, Tiling]]:
     """(board, witness) for each expanding tileable family's base: its checked-in keys, a chain of length 0."""
     return [(board, witness(board)) for board in base_boards(topology)]

@@ -181,6 +181,23 @@ class TestSolveVerifyRenderExpand:
         assert err.count("\n") == 1 and "no verifying cut path" in err
         assert not grown.exists()
 
+    def test_solve_with_a_thousand_step_cut(self, capsys):
+        # the chain's column cut has one step per row, 1000 here
+        code, out, _ = run(capsys, "solve", "--topology", "rectangle", "--a", "1000", "--b", "10")
+        assert code == 0
+        tiling = decode(out)
+        assert verify(tiling.board, tiling).fault_free
+
+    def test_expand_rows_with_a_thousand_step_cut(self, capsys, tmp_path):
+        wfile = tmp_path / "r6x1000.json"
+        code, _, _ = run(capsys, "solve", "--topology", "rectangle", "--a", "6", "--b", "1000", "--out", str(wfile))
+        assert code == 0
+        code, out, _ = run(capsys, "expand", str(wfile), "--axis", "rows")
+        assert code == 0
+        tiling = decode(out)
+        assert (tiling.board.a, tiling.board.b) == (8, 1000)
+        assert verify(tiling.board, tiling).fault_free
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 2

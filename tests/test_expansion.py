@@ -12,11 +12,12 @@ from fault_atlas import (
     find_fault_free,
     find_tiling,
     verify,
+    witness,
 )
 from fault_atlas.expansion import _grow_keys
 from fault_atlas.tiling import _edge_keys, tiling_from_edges
 from fault_atlas.topology import Topology
-from conftest import base_witnesses
+from conftest import base_witnesses, nested
 
 
 def _witness(topo, a, b):
@@ -92,6 +93,27 @@ class TestExpand:
         for axis in ("rows", "cols"):
             with pytest.raises(ExpansionFailedError):
                 expand(w, axis)
+
+
+class TestLongCuts:
+    """The cut search keeps each open step's untried positions on a list of its own:
+    cuts of a thousand steps and more run to completion."""
+
+    @pytest.mark.parametrize("board", [build_board("rectangle", 1000, 10), build_board("cylinder", 1000, 8),
+                                       build_board("torus", 10, 1000), build_board("mobius", 1000, 7)], ids=str)
+    def test_witness_chain_verifies(self, board):
+        assert verify(board, witness(board)).fault_free
+
+    def test_expand_rows_across_a_thousand_columns(self):
+        grown = expand(witness(build_board("rectangle", 6, 1000)), "rows")
+        assert (grown.board.a, grown.board.b) == (8, 1000)
+        assert verify(grown.board, grown).fault_free
+
+    def test_answer_does_not_depend_on_caller_depth(self):
+        board = build_board("rectangle", 6, 96)
+        keys = _edge_keys(witness(board))
+        grow = lambda b: _grow_keys(b, keys, "rows", 1)
+        assert nested(900, grow, board) == grow(board)
 
 
 class TestBands:

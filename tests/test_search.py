@@ -26,7 +26,7 @@ from fault_atlas import (
 from fault_atlas import search
 from fault_atlas.search import _Geometry
 from fault_atlas.topology import _curve_id
-from conftest import boards_upto, count_tilings, enumerate_fault_free, package_env
+from conftest import boards_upto, count_tilings, enumerate_fault_free, nested, package_env
 
 
 class TestFindTiling:
@@ -224,11 +224,6 @@ def test_move_table_carries_each_curves_whole_pair_list():
                     assert list(pairs) == sorted(pairs, reverse=True), (board, eid, c)
                     tuples.setdefault(c, set()).add(id(pairs))
         assert all(len(ids) == 1 for ids in tuples.values()), board  # one shared tuple per curve
-
-
-def nested(depth, find, board):
-    """find(board), called from about `depth` frames deeper than the caller."""
-    return find(board) if depth == 0 else nested(depth - 1, find, board)
 
 
 @pytest.mark.parametrize("topo,a,b", [("rectangle", 4, 500), ("rectangle", 6, 334), ("cylinder", 4, 500), ("rectangle", 4, 4000)])
