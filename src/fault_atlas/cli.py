@@ -194,13 +194,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
     store = default_store(args.witnesses) if args.witnesses else None
     if store is not None:
         limit = args.witness_limit
-        topo = Topology(args.topology)
-        for a in range(1, min(args.max, limit) + 1):
-            for b in range(1, min(args.max, limit) + 1):
-                board = build_board(topo, a, b)
-                if not classify(board).tileable:
-                    continue
-                witness(board, store=store)
+        for a, row in enumerate(chart.cells[:limit], 1):
+            for b, mark in enumerate(row[:limit], 1):
+                if mark == "X":
+                    witness(build_board(chart.topology, a, b), store=store)
     return EXIT_OK
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from .errors import ExpansionFailedError
 from .tiling import EdgeKey, Tiling, _edge_keys, _verify_keys, tiling_from_edges, verify
-from .topology import BoardSpec, build_board
+from .topology import _MOBIUS, _RECTANGLE, _TORUS, BoardSpec, build_board
 
 ROWS = "rows"
 COLS = "cols"
@@ -52,8 +52,8 @@ def _grow_keys(board: BoardSpec, keys: frozenset[EdgeKey],
     for the first cut path whose one-band rebuild verifies fault-free.
     """
     topo, a, b = board.topology, board.a, board.b
-    seam = topo.twisted if topo.wraps_cols else None  # each gluing: None absent, False plain, True twisted
-    row_edge = False if topo.wraps_rows else None
+    seam = None if topo is _RECTANGLE else topo is _MOBIUS  # each gluing: None absent, False plain, True twisted
+    row_edge = False if topo is _TORUS else None
     if axis == ROWS:  # one step per column, crossing horizontal lines
         along, cross, steps, limit, ends, closure = "h", "v", b, a, row_edge, seam
     else:  # one step per row, crossing vertical lines

@@ -1,10 +1,10 @@
 """ASCII and SVG renderings of tilings on the flattened board picture.
 
-ASCII draws tile outlines on a (2a+1) x (2b+1) character canvas: walls are
-drawn between cells belonging to different tiles, so an uncrossed fold line
-shows up as an unbroken wall across the whole board.  Wrapping tiles leave
-the border open at their exit and are marked with '>' (seam) or 'v' (glued
-row edge of a torus).
+ASCII draws tile outlines on a (2a+1) x (2b+1) character canvas: a wall is
+drawn on every grid segment that no domino crosses, so an uncrossed fold
+line shows up as an unbroken wall across the whole board.  The border is
+closed except where a wrapping tile leaves it, marked with '>' (seam) or 'v'
+(glued row edge of a torus).
 
 SVG draws every tile as a rounded rectangle; a wrapping tile is drawn once
 on each side of the seam, both halves filled from one shared gradient so the
@@ -17,41 +17,17 @@ from .tiling import Tiling
 from .topology import _curve_id, _fold_lines
 
 
-def _tile_map(tiling: Tiling) -> dict[tuple[int, int], int]:
-    owner = {}
-    for i, p in enumerate(sorted(tiling.dominoes)):
-        for cell in p.cells:
-            owner[cell] = i
-    return owner
-
-
 def ascii_render(tiling: Tiling) -> str:
-    board = tiling.board
-    a, b = board.a, board.b
-    owner = _tile_map(tiling)
-    grid = [[" "] * (2 * b + 1) for _ in range(2 * a + 1)]
-    for gr in range(0, 2 * a + 1, 2):
-        for gc in range(0, 2 * b + 1, 2):
-            grid[gr][gc] = "+"
-    for r in range(a):
-        for c in range(b):
-            same_right = c + 1 < b and owner.get((r, c)) is not None \
-                and owner.get((r, c)) == owner.get((r, c + 1))
-            grid[2 * r + 1][2 * c + 2] = " " if same_right else "|"
-            same_down = r + 1 < a and owner.get((r, c)) is not None \
-                and owner.get((r, c)) == owner.get((r + 1, c))
-            grid[2 * r + 2][2 * c + 1] = " " if same_down else "-"
-    for c in range(b):
-        grid[0][2 * c + 1] = "-"
-        grid[2 * a][2 * c + 1] = "-"
-    for r in range(a):
-        grid[2 * r + 1][0] = "|"
-        grid[2 * r + 1][2 * b] = "|"
-    for p in sorted(tiling.dominoes):
-        axis, line, _off = p.edge
-        if line != 0:
-            continue
-        if axis == "v":
+    a, b = tiling.board.a, tiling.board.b
+    grid = [list("+-" * b + "+" if gr % 2 == 0 else "| " * b + "|") for gr in range(2 * a + 1)]
+    for p in tiling.dominoes:
+        axis, line, offset = p.edge
+        if line:  # an interior segment: no wall where a domino crosses it
+            if axis == "h":
+                grid[2 * line][2 * offset + 1] = " "
+            else:
+                grid[2 * offset + 1][2 * line] = " "
+        elif axis == "v":  # the seam
             for (r, c) in p.cells:
                 if c == b - 1:
                     grid[2 * r + 1][2 * b] = ">"

@@ -152,7 +152,6 @@ def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool) -> tuple:
     if board.area % 2:
         return False, 0, 0, 0, []
     geo = _Geometry(board)
-    prune = prune and fault_free
     if prune and not all(geo.pairs):  # a curve no domino crosses: no tiling is fault-free
         return False, 0, 0, 0, []
     moves, full = geo.moves(prune), geo.full

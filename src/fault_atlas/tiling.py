@@ -26,7 +26,6 @@ from .topology import (
     Topology,
     _curve_id,
     _edge_cells,
-    _is_int,
     build_board,
 )
 
@@ -157,7 +156,7 @@ def decode(text: str) -> Tiling:
         entries = doc["dominoes"]
     except (KeyError, ValueError) as exc:
         raise WitnessDecodeError(f"missing or invalid field: {exc}") from exc
-    if not _is_int(a) or not _is_int(b) or a < 1 or b < 1:
+    if type(a) is not int or type(b) is not int or a < 1 or b < 1:
         raise WitnessDecodeError(f"dimension mismatch: bad dimensions {a!r} x {b!r}")
     if not isinstance(entries, list):
         raise WitnessDecodeError("dominoes must be a list")
@@ -170,7 +169,7 @@ def decode(text: str) -> Tiling:
             cells = entry["cells"]
         except (KeyError, TypeError, ValueError) as exc:
             raise WitnessDecodeError(f"malformed domino entry {entry!r}: {exc}") from exc
-        if not isinstance(axis, str) or not _is_int(line) or not _is_int(offset):
+        if not isinstance(axis, str) or type(line) is not int or type(offset) is not int:
             raise WitnessDecodeError(f"malformed edge id {entry['edge']!r}")
         key = (axis, line, offset)
         expected = _edge_cells(board, axis, line, offset)

@@ -34,20 +34,6 @@ class Topology(str, enum.Enum):
     TORUS = "torus"
     MOBIUS = "mobius"
 
-    @property
-    def wraps_cols(self) -> bool:
-        """True when the column (circumference) direction is glued."""
-        return self is not Topology.RECTANGLE
-
-    @property
-    def wraps_rows(self) -> bool:
-        """True when the row direction is glued (torus only)."""
-        return self is Topology.TORUS
-
-    @property
-    def twisted(self) -> bool:
-        return self is Topology.MOBIUS
-
 
 def _is_int(value: object) -> bool:
     """An integer that is not a bool: bool is an int subclass but no dimension or index."""

@@ -427,6 +427,27 @@ class TestCensus:
             loaded = store.load(board)
             assert loaded is not None and verify(board, loaded).fault_free
 
+    @pytest.mark.parametrize("size, limit, written", [
+        (10, 6, ["4x3", "4x5", "5x4", "5x6", "6x3", "6x5", "6x6"]),
+        (10, 0, []),
+        (5, 9, ["4x3", "4x5", "5x4"]),  # a limit above --max stops at --max
+    ], ids=["limit-6", "limit-0", "limit-above-max"])
+    def test_witness_files_in_write_order(self, capsys, tmp_path, monkeypatch, size, limit, written):
+        # the X cells of the chart with both sides <= the limit, row by row
+        from fault_atlas.witnesses import WitnessStore
+
+        saved = []
+        save = WitnessStore.save
+        monkeypatch.setattr(WitnessStore, "save", lambda store, tiling: saved.append(save(store, tiling).name))
+        cache = tmp_path / "cache"
+        code, _, _ = run(capsys, "census", "--topology", "mobius", "--max", str(size),
+                         "--out", str(tmp_path / "m.txt"), "--witnesses", str(cache),
+                         "--witness-limit", str(limit))
+        assert code == 0
+        expected = [f"mobius_{dims}.json" for dims in written]
+        assert saved == expected
+        assert sorted(p.name for p in cache.glob("*")) == expected
+
     def test_env_cache_override(self, capsys, tmp_path, monkeypatch):
         env_cache = tmp_path / "env"
         monkeypatch.setenv("FAULT_ATLAS_CACHE", str(env_cache))

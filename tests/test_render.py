@@ -13,6 +13,7 @@ from fault_atlas import (
     Topology,
     ascii_render,
     build_board,
+    classify,
     fault_curves,
     find_fault_free,
     placements,
@@ -74,6 +75,38 @@ class TestAscii:
         w = find_fault_free(build_board("cylinder", 4, 6)).witness
         text = ascii_render(w)
         assert ">" in text
+
+    @pytest.mark.parametrize("topo", list(Topology), ids=lambda t: t.value)
+    def test_wall_exactly_where_no_domino_crosses(self, topo):
+        # every single placement on boards of area <= 12 and every witness with sides <= 12
+        def tilings():
+            for a in range(1, 13):
+                for b in range(1, 13):
+                    board = build_board(topo, a, b)
+                    if a * b <= 12:
+                        for p in placements(board):
+                            yield Tiling(board, frozenset([p]))
+                    if classify(board).tileable:
+                        yield witness(board)
+
+        for tiling in tilings():
+            a, b = tiling.board.a, tiling.board.b
+            crossed = {p.edge for p in tiling.dominoes}
+            lines = ascii_render(tiling).splitlines()
+            for line in range(1, a):
+                for c in range(b):
+                    assert (lines[2 * line][2 * c + 1] == " ") is (("h", line, c) in crossed), \
+                        (tiling.board, sorted(crossed), ("h", line, c))
+            for line in range(1, b):
+                for r in range(a):
+                    assert (lines[2 * r + 1][2 * line] == " ") is (("v", line, r) in crossed), \
+                        (tiling.board, sorted(crossed), ("v", line, r))
+
+    def test_seam_tile_beside_its_interior_wall(self):
+        # on cylinder 1'x2 the seam tile's two cells also meet across line 1, which no domino crosses
+        board = build_board("cylinder", 1, 2)
+        seam = next(p for p in placements(board) if p.edge == ("v", 0, 0))
+        assert ascii_render(Tiling(board, frozenset([seam]))) == "+-+-+\n> | >\n+-+-+\n"
 
     def test_torus_row_wrap_marked(self):
         # every fault-free torus tiling crosses the glued row edge
