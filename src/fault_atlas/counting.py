@@ -127,14 +127,20 @@ def _reachable_totals(system: ParitySystem) -> int:
     variable an equation must meet its rhs and a group must be covered.  Per
     variable, flips and marks are the equation bits its odd value toggles and
     the group bits a value >= 1 covers; need and want are the bits closing
-    there and their required values.
+    there and their required values.  Set-up walks only the set bits of each
+    equation's mask, at most three, so its steps are linear in the board's
+    side; the shifts that double the span of the even values added are worked
+    out once per cap, not once per state.
     """
     m, n = len(system.variables), len(system.equations)
     flips, marks, need, want = ([0] * m for _ in range(4))
     for j, (mask, rhs) in enumerate(system.equations):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            flips[low.bit_length() - 1] |= 1 << j
+            rest ^= low
         last = mask.bit_length() - 1  # -1, the last variable, for an equation without variables
-        for k in range(last + 1):
-            flips[k] |= (mask >> k & 1) << j
         need[last] |= 1 << j
         want[last] |= rhs << j
     for g, group in enumerate(system.coverage_groups):
@@ -143,25 +149,35 @@ def _reachable_totals(system: ParitySystem) -> int:
             marks[i] |= bit
         need[max(group)] |= bit
         want[max(group)] |= bit
+    doublings: dict[int, list[int]] = {}  # cap -> shifts taking {2} to every even value in 2..cap
+    for cap in {var.cap for var in system.variables}:
+        half, span, shifts = cap // 2, 1, []
+        while span < half:  # doubling the span of the values added
+            shifts.append(2 * min(span, half - span))
+            span *= 2
+        doublings[cap] = shifts
     layer = {0: 1}  # state -> reachable partial totals
     for k, var in enumerate(system.variables):
         cap, flip, mark, close, ok = var.cap, flips[k], marks[k], need[k], want[k]
+        keep, shifts = ~close, doublings[cap]
         nxt: dict[int, int] = {}
+        get = nxt.get
         for state, totals in layer.items():
-            high, span = (totals << 2 if cap >= 2 else 0), 1  # totals plus an even value >= 2
-            while span < cap // 2:  # doubling the span of the values added
-                high |= high << 2 * min(span, cap // 2 - span)
-                span *= 2
+            high = totals << 2 if cap >= 2 else 0  # totals plus an even value >= 2
+            for shift in shifts:
+                high |= high << shift
             if state & close == ok:  # the value 0
-                nxt[state & ~close] = nxt.get(state & ~close, 0) | totals
+                nxt[state & keep] = get(state & keep, 0) | totals
             s = state | mark  # an even value of 2 or more
             if high and s & close == ok:
-                nxt[s & ~close] = nxt.get(s & ~close, 0) | high
+                nxt[s & keep] = get(s & keep, 0) | high
             s = (state ^ flip) | mark  # an odd value
             if cap and s & close == ok:
                 odd = high >> 1 if cap % 2 == 0 else (totals | high) << 1
-                nxt[s & ~close] = nxt.get(s & ~close, 0) | odd
+                nxt[s & keep] = get(s & keep, 0) | odd
         layer = nxt
+        if not layer:  # no admissible profile: every later layer is empty too
+            break
     return layer.get(0, 0)
 
 

@@ -352,6 +352,13 @@ class TestAreaCeiling:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[0] == "min required 1536, capacity 131072, feasible"
 
+    def test_long_rectangle_bound_counts(self):
+        # the counting set-up walks each equation's own variables: looping over every
+        # index up to each equation's last variable made this quadratic, over 90 s
+        done = run_capped("bound", "--topology", "rectangle", "--a", "2", "--b", "16384")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[0] == "min required 32768, capacity 16384, infeasible"
+
     def test_plain_classify_takes_any_size(self, capsys):
         code, out, _ = run(capsys, "classify", "--topology", "torus",
                            "--a", "1000000000", "--b", "1000000000")

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from fault_atlas import (
+    FeasibilityReport,
     Topology,
     build_board,
     build_parity_system,
@@ -141,6 +142,14 @@ class TestFeasibility:
         assert report.status == "ok"
         assert report.feasible is True and classify(board).tileable
         assert report.min_required == minimum == min_required_tiles(board)
+
+    @pytest.mark.parametrize("topo,a,b,expected", [
+        ("rectangle", 2, 16384, FeasibilityReport(32768, False, 1, ((32768, 49150),), 16384)),
+        ("cylinder", 4, 8192, FeasibilityReport(8198, True, 2, ((8198, 57344),), 16384)),
+    ])
+    def test_long_boards_full_report(self, topo, a, b, expected):
+        # thousands of equations of at most three variables each: set-up takes one step per variable
+        assert counting_feasible(build_board(topo, a, b)) == expected
 
 
 class TestSoundness:
