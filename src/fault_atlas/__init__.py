@@ -35,7 +35,7 @@ _HOME = {name: module for module, names in (
                "WitnessUnavailableError"),
     ("expansion", "expand"),
     ("render", "ascii_render svg_render"),
-    ("search", "SearchOutcome fault_free_exists_oracle find_fault_free find_tiling"),
+    ("search", "SearchOutcome fault_free_exists_oracle find_fault_free"),
     ("tiling", "Tiling VerificationReport decode decode_for_board encode verify"),
     ("topology", "BoardSpec CrossingEdge FaultCurve Placement Topology build_board fault_curves placements"),
     ("witnesses", "WitnessStore default_store witness"),

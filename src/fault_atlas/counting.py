@@ -128,9 +128,11 @@ def _reachable_totals(system: ParitySystem) -> int:
     variable, flips and marks are the equation bits its odd value toggles and
     the group bits a value >= 1 covers; need and want are the bits closing
     there and their required values.  Set-up walks only the set bits of each
-    equation's mask, at most three, so its steps are linear in the board's
-    side; the shifts that double the span of the even values added are worked
-    out once per cap, not once per state.
+    equation's mask.  On a Moebius strip the two column equations at the seam
+    and the color equation hold every wrap pair (33 variables on 64"x64), but
+    a variable lies in at most five equations, so the steps are linear in the
+    board's side (412 in all on 64"x64); the shifts that double the span of
+    the even values added are worked out once per cap, not once per state.
     """
     m, n = len(system.variables), len(system.equations)
     flips, marks, need, want = ([0] * m for _ in range(4))

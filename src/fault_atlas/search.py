@@ -1,4 +1,4 @@
-"""Exhaustive backtracking search: tiling existence and fault-free search.
+"""Exhaustive backtracking search for a fault-free tiling.
 
 This is the ground-truth oracle at small sizes, so completeness is the prime
 contract: a search always runs to completion and ends `found` or
@@ -30,11 +30,10 @@ per curve shared by all its moves.  Scanning the whole tuple cuts the same
 children as scanning only the pairs above i would: a pair whose lower cell is
 below i is covered already, and one whose lower cell is i is covered in the
 child, so neither is ever free, and a curve with no pair above i is still
-cut.  One kernel serves all three searches; the modes without pruning get
-empty prune data.
+cut.  The unpruned reference search gets empty prune data.
 
-On a cylinder, torus or Moebius strip with a >= 2 a fault-free search keeps
-one root move.  Every fault-free tiling crosses horizontal line 1, and only a
+On a cylinder, torus or Moebius strip with a >= 2 the search keeps one root
+move.  Every fault-free tiling crosses horizontal line 1, and only a
 vertical domino (0, c)-(1, c) can do that, or on a Moebius strip a domino
 (a-2, c)-(a-1, c) across line a-1, which lies on the same curve.  A shift
 along the glued columns (on a Moebius strip a glide, which flips the rows at
@@ -42,30 +41,29 @@ each pass of the seam) maps that domino onto edge ("h", 1, 0), cells (0, 0)
 and (1, 0), and the image is again a fault-free tiling.  That edge is the
 first move at the root, since moves are tried vertical-first, so the root's
 other moves hold no tiling that the first one lacks: they are dropped, and
-the first witness stays the same.  A rectangle has no such shift, and an
-all-horizontal tiling crosses no line 1, so rectangles and `find_tiling`
-keep every root move.
+the first witness stays the same.  A rectangle has no such shift, so it
+keeps every root move.
 
 Which completions a node has depends only on its cover, and a completion
-succeeds exactly when it crosses every curve the node has not crossed yet
-(none need be crossed in `find_tiling`).  So if the state (cover, m) failed,
-every (cover, c) with c a subset of m fails too.  The search remembers the
-states it has seen fail in a failed-state memo: a dict from cover to the
-crossed masks that failed with it.  It checks the memo only at nodes whose
-lowest free cell i starts a swept line (i % min(a, b) == 0), and stores a
-state there when its subtree fails; a memo at every node held 29,411 keys
-on torus 7'x6'.  A state whose crossed mask is a subset of a stored one is
-a hit: its subtree is not walked, and it is not counted as a node.  The
-memo is bounded: two generations of at most MEMO_GENERATION (4,096) masks.
-When the young generation is full it becomes the old one, the previous old
-one is dropped, and a new young one starts, so at most 8,192 masks are
-live, and both generations are freed when the search returns.  A mask
-costs an int and a tuple slot and, with its own cover, a dict entry and an
-int of `area` bits: a full memo takes at most about 1.2 MiB at area 80 and
-4.1 MiB at area 1,980.  On the boards to area 48 the largest memo, on torus
-7'x6', peaks at about 0.16 MiB.  Forgetting a state only means walking it
-again, in the same DFS order, so eviction moves node counts, never a status
-or the first witness.
+succeeds exactly when it crosses every curve the node has not crossed yet.
+So if the state (cover, m) failed, every (cover, c) with c a subset of m
+fails too.  The search remembers the states it has seen fail in a
+failed-state memo: a dict from cover to the crossed masks that failed with
+it.  It checks the memo only at nodes whose lowest free cell i starts a
+swept line (i % min(a, b) == 0), and stores a state there when its subtree
+fails; a memo at every node held 29,411 keys on torus 7'x6'.  A state whose
+crossed mask is a subset of a stored one is a hit: its subtree is not
+walked, and it is not counted as a node.  The memo is bounded: two
+generations of at most MEMO_GENERATION (4,096) masks.  When the young
+generation is full it becomes the old one, the previous old one is dropped,
+and a new young one starts, so at most 8,192 masks are live, and both
+generations are freed when the search returns.  A mask costs an int and a
+tuple slot and, with its own cover, a dict entry and an int of `area` bits:
+a full memo takes at most about 1.2 MiB at area 80 and 4.1 MiB at area
+1,980.  On the boards to area 48 the largest memo, on torus 7'x6', peaks at
+about 0.16 MiB.  Forgetting a state only means walking it again, in the same
+DFS order, so eviction moves node counts, never a status or the first
+witness.
 """
 
 from __future__ import annotations
@@ -144,10 +142,10 @@ class _Geometry:
         return moves
 
 
-def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool) -> tuple:
-    """Walk the (pruned) search tree up to the first tiling.
+def _traverse(board: BoardSpec, *, prune: bool) -> tuple:
+    """Walk the (pruned) search tree up to the first fault-free tiling.
 
-    Returns (whether a tiling was found, nodes, pruned children, memo hits, the found tiling's edge keys).
+    Returns (whether one was found, nodes, pruned children, memo hits, the found tiling's edge keys).
     """
     if board.area % 2:
         return False, 0, 0, 0, []
@@ -155,12 +153,12 @@ def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool) -> tuple:
     if prune and not all(geo.pairs):  # a curve no domino crosses: no tiling is fault-free
         return False, 0, 0, 0, []
     moves, full = geo.moves(prune), geo.full
-    if fault_free and board.topology is not _RECTANGLE and board.a > 1:
+    if board.topology is not _RECTANGLE and board.a > 1:
         # Some shift along the glued columns puts a domino across line 1 on edge ("h", 1, 0).
         moves[0] = moves[0][:1]
         if geo.edges[moves[0][0][2]][:3] != ("h", 1, 0):
             raise InvariantError(f"the first move at the root of {board} is not edge ('h', 1, 0)")
-    need = (1 << len(geo.pairs)) - 1 if fault_free else 0  # the curves a leaf must cross
+    need = (1 << len(geo.pairs)) - 1  # a leaf must cross every curve
     width = min(board.a, board.b)
     pruned = hits = stored = 0
     young: dict[int, tuple[int, ...]] = {}  # cover -> crossed masks that failed with it at a line start
@@ -212,26 +210,15 @@ def _traverse(board: BoardSpec, *, fault_free: bool, prune: bool) -> tuple:
             cover, crossed, line_start, untried, _ = stack.pop()
 
 
-def _search(board: BoardSpec, *, fault_free: bool, prune: bool) -> SearchOutcome:
-    """Run one search and re-verify its witness in the search's own mode."""
-    found, nodes, pruned, hits, keys = _traverse(board, fault_free=fault_free, prune=prune)
+def find_fault_free(board: BoardSpec, *, prune: bool = True) -> SearchOutcome:
+    """Search for a fault-free tiling; exhausted-none means none exists."""
+    found, nodes, pruned, hits, keys = _traverse(board, prune=prune)
     if not found:
         return SearchOutcome(EXHAUSTED, None, nodes, pruned, hits)
     witness = tiling_from_edges(board, keys)
-    report = verify(board, witness)
-    if not (report.fault_free if fault_free else report.matching_valid):
+    if not verify(board, witness).fault_free:
         raise InvariantError(f"search returned a tiling of {board} that fails verification")
     return SearchOutcome(FOUND, witness, nodes, pruned, hits)
-
-
-def find_tiling(board: BoardSpec) -> SearchOutcome:
-    """Search for any perfect matching; exhausted-none is definitive."""
-    return _search(board, fault_free=False, prune=False)
-
-
-def find_fault_free(board: BoardSpec, *, prune: bool = True) -> SearchOutcome:
-    """Search for a fault-free tiling; exhausted-none means none exists."""
-    return _search(board, fault_free=True, prune=prune)
 
 
 def fault_free_exists_oracle(board: BoardSpec) -> bool:

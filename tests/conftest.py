@@ -33,6 +33,7 @@ from fault_atlas import (
     verify,
     witness,
 )
+from fault_atlas.tiling import tiling_from_edges
 
 ALL_TOPOLOGIES = tuple(Topology)
 
@@ -72,6 +73,15 @@ def package_env() -> dict[str, str]:
 def nested(depth, find, board):
     """find(board), called from about `depth` frames deeper than the caller."""
     return find(board) if depth == 0 else nested(depth - 1, find, board)
+
+
+def brick_tiling(board: BoardSpec) -> Tiling:
+    """An even-area board's tiling, built without a search: horizontal rows when b is even, else vertical columns."""
+    if board.b % 2 == 0:
+        keys = [("v", line, r) for line in range(1, board.b, 2) for r in range(board.a)]
+    else:
+        keys = [("h", line, c) for line in range(1, board.a, 2) for c in range(board.b)]
+    return tiling_from_edges(board, keys)
 
 
 def base_witnesses(topology: Topology) -> list[tuple[BoardSpec, Tiling]]:

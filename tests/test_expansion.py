@@ -10,14 +10,13 @@ from fault_atlas import (
     build_board,
     expand,
     find_fault_free,
-    find_tiling,
     verify,
     witness,
 )
 from fault_atlas.expansion import _grow_keys
 from fault_atlas.tiling import _edge_keys, tiling_from_edges
 from fault_atlas.topology import Topology
-from conftest import base_witnesses, nested
+from conftest import base_witnesses, brick_tiling, nested
 
 
 def _witness(topo, a, b):
@@ -75,7 +74,7 @@ class TestExpand:
 
     def test_input_must_be_fault_free(self):
         board = build_board("rectangle", 6, 6)
-        full = find_tiling(board).witness  # valid matching, but has faults
+        full = brick_tiling(board)  # valid matching, but has faults
         with pytest.raises(ValueError):
             expand(full, "rows")
 

@@ -1,4 +1,4 @@
-"""Search engine: existence, fault-free search, oracle; each search runs to completion."""
+"""Search engine: fault-free search and oracle; each search runs to completion."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from fault_atlas import (
     fault_curves,
     fault_free_exists_oracle,
     find_fault_free,
-    find_tiling,
     placements,
     verify,
 )
@@ -27,21 +26,6 @@ from fault_atlas import search
 from fault_atlas.search import _Geometry
 from fault_atlas.topology import _curve_id
 from conftest import boards_upto, count_tilings, enumerate_fault_free, nested, package_env
-
-
-class TestFindTiling:
-    def test_odd_area_short_circuits(self):
-        outcome = find_tiling(build_board("rectangle", 5, 5))
-        assert outcome.status == "exhausted-none"
-        assert outcome.nodes == 0
-
-    def test_6x6_found(self):
-        outcome = find_tiling(build_board("rectangle", 6, 6))
-        assert outcome.status == "found"
-        assert verify(outcome.witness.board, outcome.witness).matching_valid
-
-    def test_mobius_2x1_found(self):
-        assert find_tiling(build_board("mobius", 2, 1)).status == "found"
 
 
 class TestCountTilings:
@@ -90,7 +74,6 @@ class TestFindFaultFree:
     def test_pruned_children_counted(self):
         board = build_board("rectangle", 6, 6)
         assert find_fault_free(board, prune=False).pruned == 0
-        assert find_tiling(board).pruned == 0
         runs = {find_fault_free(board).pruned for _ in range(3)}
         assert len(runs) == 1 and runs.pop() > 0
 
@@ -120,18 +103,16 @@ def test_witness_check_holds_under_optimize():
         import fault_atlas.search as s
         from fault_atlas import InvariantError, build_board
 
-        s.verify = lambda board, tiling: SimpleNamespace(matching_valid=False, fault_free=False)
-        board = build_board("rectangle", 5, 6)
-        for find in (s.find_tiling, s.find_fault_free):
-            try:
-                find(board)
-            except InvariantError:
-                print(__debug__, "raised")
+        s.verify = lambda board, tiling: SimpleNamespace(fault_free=False)
+        try:
+            s.find_fault_free(build_board("rectangle", 5, 6))
+        except InvariantError:
+            print(__debug__, "raised")
     """)
     done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
                           env=package_env(), timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "raised", "False", "raised"]
+    assert done.stdout.split() == ["False", "raised"]
 
 
 def cell_bit(geo, cell):
@@ -173,13 +154,13 @@ def test_search_builds_no_board_table(monkeypatch):
 
     monkeypatch.setattr(search, "_Geometry", Counted)
     odd = build_board("torus", 5, 7)
-    assert find_tiling(odd).nodes == find_fault_free(odd).nodes == 0
+    assert find_fault_free(odd).nodes == 0
     assert built == []
     tables = (placements.cache_info(), fault_curves.cache_info())
     for board in (build_board("mobius", 5, 4), build_board("cylinder", 4, 6)):
-        assert find_tiling(board).status == find_fault_free(board).status == "found"
+        assert find_fault_free(board).status == "found"
     assert (placements.cache_info(), fault_curves.cache_info()) == tables
-    assert len(built) == 4  # one geometry per search, none kept
+    assert len(built) == 2  # one geometry per search, none kept
 
 
 def test_searches_leave_no_reference_cycles():
@@ -189,9 +170,9 @@ def test_searches_leave_no_reference_cycles():
     gc.disable()
     try:
         for board in boards:
-            for run in (find_fault_free, find_tiling):
-                run(board)
-                assert gc.collect() == 0, (run.__name__, board)
+            for prune in (True, False):
+                find_fault_free(board, prune=prune)
+                assert gc.collect() == 0, (prune, board)
     finally:
         gc.enable()
 
@@ -226,13 +207,13 @@ def test_move_table_carries_each_curves_whole_pair_list():
         assert all(len(ids) == 1 for ids in tuples.values()), board  # one shared tuple per curve
 
 
-@pytest.mark.parametrize("topo,a,b", [("rectangle", 4, 500), ("rectangle", 6, 334), ("cylinder", 4, 500), ("rectangle", 4, 4000)])
+@pytest.mark.parametrize("topo,a,b", [
+    ("rectangle", 4, 500), ("rectangle", 6, 334), ("cylinder", 4, 500), ("rectangle", 4, 4000),
+    ("rectangle", 5, 2000), ("cylinder", 4, 2000), ("torus", 4, 2000), ("mobius", 5, 1000),
+])
 def test_deep_boards_search_to_completion(topo, a, b):
     """A search keeps its open nodes on a stack of its own: a thousand dominoes and more run to completion."""
     board = build_board(topo, a, b)
-    tiling = find_tiling(board)
-    assert tiling.status == "found", board  # every board here has an even area and a domino tiling
-    assert verify(board, tiling.witness).matching_valid, board
     outcome = find_fault_free(board)
     assert (outcome.status == "found") == classify(board).tileable, board
     assert outcome.witness is None or verify(board, outcome.witness).fault_free, board
@@ -240,10 +221,10 @@ def test_deep_boards_search_to_completion(topo, a, b):
 
 def test_search_answer_does_not_depend_on_caller_depth():
     """A search started from deep in the caller's stack ends as one started from the top."""
-    board = build_board("rectangle", 4, 496)
-    for find in (find_tiling, find_fault_free):
-        top, deep = find(board), nested(900, find, board)
-        assert (deep.status, deep.nodes) == (top.status, top.nodes), find.__name__
+    for (topo, a, b), status in ((("rectangle", 4, 496), "exhausted-none"), (("cylinder", 4, 2000), "found")):
+        board = build_board(topo, a, b)
+        top, deep = find_fault_free(board), nested(900, find_fault_free, board)
+        assert deep == top and top.status == status, board
 
 
 class TestFailedStateMemo:
@@ -354,4 +335,3 @@ class TestOneRootMove:
         for prune in (True, False):
             with pytest.raises(InvariantError, match="is not edge"):
                 find_fault_free(board, prune=prune)
-        assert find_tiling(board).status == "found"  # any tiling: every root move stays

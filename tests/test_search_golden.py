@@ -4,7 +4,6 @@
 
 - `fault-free topology a b status nodes sha256 pruned` for every board of area <= 48;
 - `unpruned ...`, the same with `prune=False`, for area <= 24;
-- `tiling topology a b status nodes sha256` from `find_tiling` for area <= 20;
 - `count topology a b n`, the number of perfect matchings from the reference
   count in `tests/conftest.py`, for area <= 16.
 
@@ -24,7 +23,7 @@ import hashlib
 from pathlib import Path
 from typing import Iterator
 
-from fault_atlas import Topology, build_board, encode, find_fault_free, find_tiling, search
+from fault_atlas import Topology, build_board, encode, find_fault_free, search
 from conftest import count_tilings
 
 GOLDEN = Path(__file__).parent / "golden" / "search_outcomes.txt"
@@ -40,8 +39,8 @@ def _boards(max_area: int) -> Iterator:
 def _line(kind: str, board, outcome) -> str:
     digest = "-" if outcome.witness is None else hashlib.sha256(
         encode(outcome.witness).encode("utf-8")).hexdigest()
-    line = f"{kind} {board.topology.value} {board.a} {board.b} {outcome.status} {outcome.nodes} {digest}"
-    return line if kind == "tiling" else f"{line} {outcome.pruned}"
+    return (f"{kind} {board.topology.value} {board.a} {board.b} {outcome.status} {outcome.nodes} {digest}"
+            f" {outcome.pruned}")
 
 
 def outcome_lines() -> Iterator[str]:
@@ -49,8 +48,6 @@ def outcome_lines() -> Iterator[str]:
         yield _line("fault-free", board, find_fault_free(board))
     for board in _boards(24):
         yield _line("unpruned", board, find_fault_free(board, prune=False))
-    for board in _boards(20):
-        yield _line("tiling", board, find_tiling(board))
     for board in _boards(16):
         yield f"count {board.topology.value} {board.a} {board.b} {count_tilings(board)}"
 
@@ -69,8 +66,7 @@ def test_memo_eviction_moves_only_node_counts(monkeypatch):
     golden = {tuple(fields[:4]): fields for fields in map(str.split, GOLDEN.read_text(encoding="utf-8").splitlines())}
     moved = 0
     for kind, find, max_area in (("fault-free", find_fault_free, 24),
-                                 ("unpruned", functools.partial(find_fault_free, prune=False), 24),
-                                 ("tiling", find_tiling, 20)):
+                                 ("unpruned", functools.partial(find_fault_free, prune=False), 24)):
         for board in _boards(max_area):
             actual = _line(kind, board, find(board)).split()
             expected = golden[tuple(actual[:4])]

@@ -22,12 +22,11 @@ from fault_atlas import (
     encode,
     fault_curves,
     find_fault_free,
-    find_tiling,
     verify,
     witness,
 )
 from fault_atlas.tiling import _verify_keys, tiling_from_edges
-from conftest import MALFORMED_DOCUMENTS, package_env
+from conftest import MALFORMED_DOCUMENTS, brick_tiling, package_env
 
 
 def reference_encode(tiling: Tiling) -> str:
@@ -63,9 +62,7 @@ class TestVerify:
 
     def test_any_complete_6x6_tiling_has_a_fault(self):
         board = build_board("rectangle", 6, 6)
-        outcome = find_tiling(board)
-        assert outcome.status == "found"
-        report = verify(board, outcome.witness)
+        report = verify(board, brick_tiling(board))
         assert report.matching_valid and not report.fault_free
 
     def test_foreign_placement_rejected(self, witness_5x6):
@@ -87,7 +84,7 @@ class TestVerify:
         for topo, a, b in [("rectangle", 5, 6), ("cylinder", 4, 6), ("torus", 4, 4),
                            ("mobius", 4, 3), ("mobius", 5, 4)]:
             board = build_board(topo, a, b)
-            for tiling in (find_fault_free(board).witness, find_tiling(board).witness):
+            for tiling in (find_fault_free(board).witness, brick_tiling(board)):
                 keys = [p.edge.key() for p in tiling.dominoes]
                 assert _verify_keys(board, keys) == verify(board, tiling)
                 assert _verify_keys(board, keys[1:]) == verify(board, tiling_from_edges(board, keys[1:]))
