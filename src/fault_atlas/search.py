@@ -19,18 +19,21 @@ is visited from both ends inward (0, n-1, 1, n-2, ...), so glued lines are
 neighbours and the two cells of every domino lie within 2*min(a, b) bits of
 each other.  The frontier stays short, so fault curves close, and prunes
 fire, early.  Bit k of the crossed mask is fault curve k, numbered as
-`topology._curve_id` numbers them.  A cell's placements are tried
-vertical-first, then horizontal, then wrapping; then by line, offset and
-edge id, which makes node counts reproducible.
+`topology._curve_id` numbers them.  Moves are tried vertical-first, then
+horizontal, then wrapping; then by line and offset, the glued row edge before
+the seam, which makes node counts reproducible.  The table is built line by
+line in that order, so an edge's id is its rank: each cell keeps the curves
+it touches and, with no sort, the edges whose other cell lies above it.
 
 Every cell below the expanded cell i is covered, so only the dominoes whose
-other cell lies above i are moves at i.  Each move carries, for every other
-curve at its two cells, that curve's whole tuple of crossing pairs, one tuple
-per curve shared by all its moves.  Scanning the whole tuple cuts the same
-children as scanning only the pairs above i would: a pair whose lower cell is
-below i is covered already, and one whose lower cell is i is covered in the
-child, so neither is ever free, and a curve with no pair above i is still
-cut.  The unpruned reference search gets empty prune data.
+other cell lies above i are moves at i; they are built when the walk first
+expands i.  Each move carries, for every other curve at its two cells, that
+curve's whole tuple of crossing pairs, highest first as low bits are covered
+first, built on first need and shared by all its moves.  Scanning the whole
+tuple cuts the same children as scanning only the pairs above i would: a pair
+whose lower cell is below i is covered already, and one whose lower cell is i
+is covered in the child, so neither is ever free, and a curve with no pair
+above i is still cut.  The unpruned search gets no prune data.
 
 On a cylinder, torus or Moebius strip with a >= 2 the search keeps one root
 move.  Every fault-free tiling crosses horizontal line 1, and only a
@@ -40,7 +43,7 @@ along the glued columns (on a Moebius strip a glide, which flips the rows at
 each pass of the seam) maps that domino onto edge ("h", 1, 0), cells (0, 0)
 and (1, 0), and the image is again a fault-free tiling.  That edge is the
 first move at the root, since moves are tried vertical-first, so the root's
-other moves hold no tiling that the first one lacks: they are dropped, and
+other moves hold no tiling that the first one lacks: they are never built, and
 the first witness stays the same.  A rectangle has no such shift, so it
 keeps every root move.
 
@@ -68,11 +71,12 @@ witness.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from itertools import zip_longest
+from typing import Iterator, NamedTuple
 
 from .errors import InvariantError, OracleRangeError
 from .tiling import Tiling, tiling_from_edges, verify
-from .topology import _MOBIUS, _RECTANGLE, _TORUS, BoardSpec, _curve_id, _edges
+from .topology import _MOBIUS, _RECTANGLE, _TORUS, BoardSpec, _curve_id, _seam_cells
 
 FOUND = "found"
 EXHAUSTED = "exhausted-none"
@@ -89,57 +93,64 @@ class SearchOutcome(NamedTuple):
     memo_hits: int = 0  # states found in the failed-state memo; a hit is not a node
 
 
-class _Geometry:
-    """The board as bit masks: per-curve crossing pairs, then per-cell moves."""
+def _sweep(board: BoardSpec) -> tuple[list[int], list[int]]:
+    """(row_bit, col_bit): cell (r, c) is bit row_bit[r] + col_bit[c], and one list holds each line's first bit."""
+    a, b, topo = board.a, board.b, board.topology
+    rows = a > b  # sweep the long side: rows when a > b, else columns
+    n, width = (a, b) if rows else (b, a)
+    if topo is _TORUS or topo is _MOBIUS if rows else topo is not _RECTANGLE:
+        # the swept axis is glued: visit its lines from both ends inward (0, n-1, 1, n-2, ...)
+        lines = [width * (2 * k if 2 * k < n else 2 * (n - k) - 1) for k in range(n)]
+    else:
+        lines = [*range(0, n * width, width)]
+    return (lines, [*range(b)]) if rows else ([*range(a)], lines)
 
-    __slots__ = ("row_bit", "col_bit", "edges", "bits", "curve", "pairs", "full")
+
+class _Geometry:
+    """The board as bit masks, built line by line; each cell's moves are built on request."""
+
+    __slots__ = ("row_bit", "col_bit", "edges", "bits", "mask", "curve", "pairs", "below", "at", "entry", "full")
 
     def __init__(self, board: BoardSpec) -> None:
         a, b, topo = board.a, board.b, board.topology
-        # Sweep the long side: rows when a > b, else columns.  Cell (r, c) is bit
-        # row_bit[r] + col_bit[c], and one of the two lists holds each swept line's first bit.
-        rows = a > b
-        n, width = (a, b) if rows else (b, a)
-        if topo is _TORUS or topo is _MOBIUS if rows else topo is not _RECTANGLE:
-            # the swept axis is glued: visit its lines from both ends inward (0, n-1, 1, n-2, ...)
-            lines = [width * (2 * k if 2 * k < n else 2 * (n - k) - 1) for k in range(n)]
-        else:
-            lines = [*range(0, n * width, width)]
-        self.row_bit, self.col_bit = row_bit, col_bit = (lines, [*range(b)]) if rows else ([*range(a)], lines)
-        # edges[eid] = (axis, line, offset, cells), the topology's records in edge id order
-        self.edges = edges = tuple(_edges(board))
-        self.curve = curve = [_curve_id(board, axis, line) for axis, line, _offset, _cells in edges]
+        self.row_bit, self.col_bit = row_bit, col_bit = _sweep(board)
+        # edges[eid] = (axis, line, offset, cells), line by line in the order moves are tried: vertical
+        # dominoes, horizontal ones, then the wraps by offset, the glued row edge's before the seam's.
+        edges = [("h", l, c, ((l - 1, c), (l, c))) for l in range(1, a) for c in range(b)]
+        edges += [("v", l, r, ((r, l - 1), (r, l))) for l in range(1, b) for r in range(a)]
+        rim = [("h", 0, c, ((a - 1, c), (0, c))) for c in range(b)] if topo is _TORUS and a > 1 else []
+        seam = [("v", 0, r, s) for r in range(a) if (s := _seam_cells(board, r))] if topo is not _RECTANGLE else []
+        self.edges = edges = edges + [edge for pair in zip_longest(rim, seam) for edge in pair if edge]
+        ids = {axis: [_curve_id(board, axis, line) for line in range(n)] for axis, n in (("h", a), ("v", b))}
         self.bits = bits = []  # the (lower, upper) bits of each edge's cells
-        for _axis, _line, _offset, ((r1, c1), (r2, c2)) in edges:
+        self.mask = mask = []  # each edge's cells as a mask, the one int its move and its curve's pairs share
+        self.curve = curve = []  # each edge's curve id
+        self.pairs = pairs = [[] for _ in range(_curve_id(board, "v", b))]
+        self.below = below = [[] for _ in range(a * b)]  # the ids of the edges whose lower cell is each cell
+        self.at = at = [set() for _ in range(a * b)]  # the curves at each cell
+        for eid, (axis, line, _offset, ((r1, c1), (r2, c2))) in enumerate(edges):
             x, y = row_bit[r1] + col_bit[c1], row_bit[r2] + col_bit[c2]
-            bits.append((x, y) if x < y else (y, x))
-        self.pairs = pairs = [[] for _ in range(_curve_id(board, "v", board.b))]
-        for (i, j), k in zip(bits, curve):
-            pairs[k].append(1 << i | 1 << j)
+            x, y = (x, y) if x < y else (y, x)
+            below[x].append(eid)
+            bits.append((x, y))
+            curve.append(k := ids[axis][line])
+            at[x].add(k)
+            at[y].add(k)
+            mask.append(1 << x | 1 << y)
+            pairs[k].append(mask[-1])
+        self.entry: list[tuple | None] = [None] * len(pairs)  # (curve bit, crossing pairs) once a row needs it
         self.full = (1 << board.area) - 1
 
-    def moves(self, prune: bool) -> list[list[tuple]]:
-        """moves[i]: the placements whose lower cell is i, in tie-break order.
-
-        A move is (cells mask, curve bit, edge id, near).  When pruning, `near`
-        has (curve bit, crossing pairs) for every other curve that shares a cell
-        with the domino; without pruning it is empty.
-        """
-        bits, curve = self.bits, self.curve
-        moves: list[list[tuple]] = [[] for _ in range(self.full.bit_length())]
-        at: list[set[int]] = [set() for _ in moves]  # the curves of the edges at each cell
-        if prune:
-            for (i, j), k in zip(bits, curve):
-                at[i].add(k)
-                at[j].add(k)
-        # Highest pair first: the search covers low bits first, so free pairs are likelier among the high ones.
-        entry = [(1 << c, tuple(sorted(pairs, reverse=True))) for c, pairs in enumerate(self.pairs)]
-        # vertical dominoes, horizontal, then wraps; then line, offset, edge id
-        for *_key, eid in sorted((2 if line == 0 else 0 if axis == "h" else 1, line, offset, eid)
-                                for eid, (axis, line, offset, _cells) in enumerate(self.edges)):
-            (i, j), k = bits[eid], curve[eid]
-            moves[i].append((1 << i | 1 << j, 1 << k, eid, tuple(entry[c] for c in at[i] | at[j] if c != k)))
-        return moves
+    def row(self, i: int, prune: bool) -> Iterator[tuple]:
+        """Cell i's moves in id order, each built when asked for: (cells mask, curve bit, edge id, near)."""
+        bits, mask, curve, at, entry = self.bits, self.mask, self.curve, self.at, self.entry
+        for eid in self.below[i]:
+            near = at[i] | at[bits[eid][1]] if prune else set()  # the curves at the domino's cells
+            near.discard(k := curve[eid])
+            for c in near:
+                if entry[c] is None:
+                    entry[c] = (1 << c, tuple(sorted(self.pairs[c], reverse=True)))
+            yield mask[eid], 1 << k, eid, tuple([entry[c] for c in near])
 
 
 def _traverse(board: BoardSpec, *, prune: bool) -> tuple:
@@ -152,12 +163,13 @@ def _traverse(board: BoardSpec, *, prune: bool) -> tuple:
     geo = _Geometry(board)
     if prune and not all(geo.pairs):  # a curve no domino crosses: no tiling is fault-free
         return False, 0, 0, 0, []
-    moves, full = geo.moves(prune), geo.full
+    full, root = geo.full, geo.row(0, prune)
     if board.topology is not _RECTANGLE and board.a > 1:
         # Some shift along the glued columns puts a domino across line 1 on edge ("h", 1, 0).
-        moves[0] = moves[0][:1]
-        if geo.edges[moves[0][0][2]][:3] != ("h", 1, 0):
+        root = [next(root)]  # the other root moves are never built
+        if geo.edges[root[0][2]][:3] != ("h", 1, 0):
             raise InvariantError(f"the first move at the root of {board} is not edge ('h', 1, 0)")
+    moves: list[list[tuple] | None] = [None] * board.area  # each cell's moves, built when the walk first expands it
     need = (1 << len(geo.pairs)) - 1  # a leaf must cross every curve
     width = min(board.a, board.b)
     pruned = hits = stored = 0
@@ -168,7 +180,7 @@ def _traverse(board: BoardSpec, *, prune: bool) -> tuple:
     # line and meets an empty memo.
     stack: list[tuple] = []
     cover = crossed = 0
-    line_start, untried, nodes = True, iter(moves[0]), 1
+    line_start, untried, nodes = True, iter(root), 1
     while True:
         for mask, bit, eid, near in untried:
             if mask & cover:
@@ -196,8 +208,10 @@ def _traverse(board: BoardSpec, *, prune: bool) -> tuple:
                         break
                 else:  # descend into the child
                     nodes += 1
+                    if (row := moves[i]) is None:  # the walk expands cell i for the first time
+                        row = moves[i] = [*geo.row(i, prune)]
                     stack.append((cover, crossed, line_start, untried, eid))
-                    cover, crossed, line_start, untried = child, now, not i % width, iter(moves[i])
+                    cover, crossed, line_start, untried = child, now, not i % width, iter(row)
                     break
         else:  # every move tried: the open node fails
             if line_start:

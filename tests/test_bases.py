@@ -28,19 +28,9 @@ def family_bases() -> list[BoardSpec]:
             for fam in families if fam.tileable]
 
 
-class ColumnMajor(search._Geometry):
-    """The search's geometry with every board swept column by column: cell (r, c) is bit c*a + r."""
-
-    __slots__ = ()
-
-    def __init__(self, board: BoardSpec) -> None:
-        super().__init__(board)
-        a = board.a
-        self.row_bit, self.col_bit = [*range(a)], [*range(0, board.area, a)]
-        self.bits = [tuple(sorted(c * a + r for r, c in cells)) for *_key, cells in self.edges]
-        self.pairs = pairs = [[] for _ in self.pairs]
-        for (i, j), k in zip(self.bits, self.curve):
-            pairs[k].append(1 << i | 1 << j)
+def column_major(board: BoardSpec) -> tuple[list[int], list[int]]:
+    """The search's sweep with every board swept column by column: cell (r, c) is bit c*a + r."""
+    return [*range(board.a)], [*range(0, board.area, board.a)]
 
 
 def test_table_covers_exactly_the_family_bases():
@@ -62,6 +52,6 @@ def test_search_finds_the_base_tileable(board):
 
 @pytest.mark.parametrize("board", family_bases(), ids=str)
 def test_entry_equals_the_searched_witness(board, monkeypatch):
-    monkeypatch.setattr(search, "_Geometry", ColumnMajor)
+    monkeypatch.setattr(search, "_sweep", column_major)
     searched = tuple(sorted(_edge_keys(find_fault_free(board).witness)))
     assert BASE_KEYS[board.topology.value, board.a, board.b] == searched

@@ -26,6 +26,7 @@ from fault_atlas import search
 from fault_atlas.search import _Geometry
 from fault_atlas.topology import _curve_id
 from conftest import boards_upto, count_tilings, enumerate_fault_free, nested, package_env
+from test_search_golden import GOLDEN, _line
 
 
 class TestCountTilings:
@@ -181,7 +182,7 @@ def test_move_table_carries_each_curves_whole_pair_list():
     """Each move sits at its lower cell and carries every other curve at its cells, with all that curve's pairs."""
     for board in boards_upto(24, max_area=24):
         geo = _Geometry(board)
-        moves = geo.moves(True)
+        moves = [[*geo.row(i, True)] for i in range(board.area)]  # every row, each built once
         curve_pairs = {c.id: {sum(1 << cell_bit(geo, cell) for cell in p.cells)
                               for p in placements(board) if p.edge in c.crossing_edges}
                        for c in fault_curves(board)}
@@ -205,6 +206,56 @@ def test_move_table_carries_each_curves_whole_pair_list():
                     assert list(pairs) == sorted(pairs, reverse=True), (board, eid, c)
                     tuples.setdefault(c, set()).add(id(pairs))
         assert all(len(ids) == 1 for ids in tuples.values()), board  # one shared tuple per curve
+
+
+def test_geometry_edges_are_the_boards_placements():
+    """The per-line pass gives every crossing edge of the board once, with the cells `placements` gives it."""
+    for board in boards_upto(24, max_area=24):
+        geo = _Geometry(board)
+        assert len(geo.edges) == len(placements(board)), board
+        assert {e[:3]: e[3] for e in geo.edges} == {p.edge: p.cells for p in placements(board)}, board
+
+
+def expanded_cells(board) -> set[int]:
+    """The cells the search expands: the lowest free cell of every cover its walk holds, read by a tracer."""
+    covers = set()
+
+    def on_line(frame, event, arg):
+        if event == "line" and "cover" in frame.f_locals:
+            covers.add(frame.f_locals["cover"])
+        return on_line
+
+    def on_call(frame, event, arg):
+        if frame.f_code.co_name == "_traverse" and frame.f_code.co_filename == search.__file__:
+            return on_line
+        return None
+
+    sys.settrace(on_call)
+    try:
+        find_fault_free(board)
+    finally:
+        sys.settrace(None)
+    return {(~cover & (cover + 1)).bit_length() - 1 for cover in covers}
+
+
+def test_a_cells_row_is_built_when_the_walk_first_expands_it(monkeypatch):
+    """One row per expanded cell and none for the rest; the lazy rows keep torus 7'x6' on its golden line."""
+    golden = GOLDEN.read_text(encoding="utf-8").splitlines()
+    built = []
+    row = _Geometry.row
+
+    def counted(geo, i, prune):
+        built.append(i)
+        return row(geo, i, prune)
+
+    monkeypatch.setattr(_Geometry, "row", counted)
+    for topo, a, b in ("rectangle", 24, 1), ("torus", 2, 6), ("mobius", 4, 2), ("torus", 7, 6):
+        board = build_board(topo, a, b)
+        expanded = expanded_cells(board)
+        built.clear()
+        line = _line("fault-free", board, find_fault_free(board))
+        assert sorted(built) == sorted(expanded) and len(expanded) < board.area, board
+        assert line in golden, line
 
 
 @pytest.mark.parametrize("topo,a,b", [
@@ -320,17 +371,16 @@ class TestOneRootMove:
             if board.a > 1:
                 geo = _Geometry(board)
                 for prune in (True, False):
-                    assert geo.edges[geo.moves(prune)[0][0][2]][:3] == ("h", 1, 0), (board, prune)
+                    assert geo.edges[next(geo.row(0, prune))[2]][:3] == ("h", 1, 0), (board, prune)
 
     def test_another_first_move_raises(self, monkeypatch):
-        moves = _Geometry.moves
+        row = _Geometry.row
 
-        def root_reversed(geo, prune):
-            table = moves(geo, prune)
-            table[0].reverse()
-            return table
+        def root_reversed(geo, i, prune):
+            moves = [*row(geo, i, prune)]
+            return reversed(moves) if i == 0 else iter(moves)
 
-        monkeypatch.setattr(_Geometry, "moves", root_reversed)
+        monkeypatch.setattr(_Geometry, "row", root_reversed)
         board = build_board("cylinder", 4, 6)
         for prune in (True, False):
             with pytest.raises(InvariantError, match="is not edge"):
