@@ -24,7 +24,7 @@ from .errors import (
 )
 from .tiling import DOCUMENT_BYTES_PER_DOMINO, decode, encode, verify
 from .topology import Topology, build_board
-from .witnesses import default_store, witness
+from .witnesses import _witness_keys, default_store, witness
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -197,7 +197,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
         for a, row in enumerate(chart.cells[:limit], 1):
             for b, mark in enumerate(row[:limit], 1):
                 if mark == "X":
-                    witness(build_board(chart.topology, a, b), store=store)
+                    board = build_board(chart.topology, a, b)
+                    if store.load(board) is None:
+                        _witness_keys(board, store)  # verified and saved; no Tiling is built
     return EXIT_OK
 
 

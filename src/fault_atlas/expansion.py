@@ -11,12 +11,15 @@ search never has to trust the construction argument.  The search reads and
 writes edge keys (axis, line, offset) only; `expand` turns them into
 placements once, at the end.
 
-One accepted path serves any number of bands: growing by k double rows or
-columns shifts the far side by 2k and lays k parallel bands along the same
-path, band j across line pos + 1 + 2j.  The bands are translates of one
+The cut search (`_cut_path`) and the band layer (`_lay_bands`) are separate
+steps.  One accepted path serves any number of bands: growing by k double
+rows or columns shifts the far side by 2k and lays k parallel bands along the
+same path, band j across line pos + 1 + 2j.  The bands are translates of one
 another, so k bands at one cut are the tiling that k single expansions
-build, and a chain costs one search per axis.  The search checks its leaf
-with one band; the caller re-verifies the k-band result.
+build.  The search checks its leaf with one band; the caller re-verifies the
+k-band result.  A path depends only on the board and tiling it is searched
+on, so the witness chains keep each family step's path and search it once
+per process.
 
 Row and column insertion are one search along two axes.  A row-insertion
 path takes one step per column, each at a height 0..a; a column-insertion
@@ -32,6 +35,8 @@ a, and the band closes into a width-2 Moebius sub-band around the cut.
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
 from .errors import ExpansionFailedError
 from .tiling import EdgeKey, Tiling, _edge_keys, _verify_keys, tiling_from_edges, verify
 from .topology import _MOBIUS, _RECTANGLE, _TORUS, BoardSpec, build_board
@@ -43,14 +48,9 @@ _MAX_LEAVES = 512
 _MAX_NODES = 200_000
 
 
-def _grow_keys(board: BoardSpec, keys: frozenset[EdgeKey],
-               axis: str, k: int) -> tuple[BoardSpec, frozenset[EdgeKey]]:
-    """One cut search and k bands along its path: `keys` must verify fault-free on `board`,
-    `axis` be ROWS or COLS and k >= 1.
-
-    Returns the board grown by 2k rows or columns and its tiling's edge keys,
-    for the first cut path whose one-band rebuild verifies fault-free.
-    """
+def _cut_path(board: BoardSpec, keys: frozenset[EdgeKey], axis: str) -> list[int]:
+    """The first cut path, one position per step, whose one-band rebuild verifies fault-free:
+    `keys` must verify fault-free on `board` and `axis` be ROWS or COLS."""
     topo, a, b = board.topology, board.a, board.b
     seam = None if topo is _RECTANGLE else topo is _MOBIUS  # each gluing: None absent, False plain, True twisted
     row_edge = False if topo is _TORUS else None
@@ -59,32 +59,9 @@ def _grow_keys(board: BoardSpec, keys: frozenset[EdgeKey],
     else:  # one step per row, crossing vertical lines
         along, cross, steps, limit, ends, closure = "v", "h", a, b, seam, row_edge
 
-    def grown(k: int) -> BoardSpec:
-        return build_board(topo, a + 2 * k, b) if axis == ROWS else build_board(topo, a, b + 2 * k)
-
     def run_blocked(line: int, p: int, q: int) -> bool:
         """Is the connecting run at boundary line `line` between positions p and q on a tile interior?"""
         return any((cross, line, y) in keys for y in range(min(p, q), max(p, q)))
-
-    def rebuild(k: int) -> list[EdgeKey]:
-        """Shift every domino beyond the cut by 2k and fill k bands, one domino per step each.
-
-        A domino across line `line` of the crossed kind lies beyond the cut
-        when its offset is at or past path[line - 1]; the run from there to
-        path[line] is unblocked, so either step gives the same side, and
-        path[-1] serves the glued line 0.
-        """
-        shift = 2 * k
-        new_edges: list[EdgeKey] = []
-        for kind, line, off in keys:
-            if kind == along:
-                if line and line >= path[off]:
-                    line += shift
-            elif off >= path[line - 1]:
-                off += shift
-            new_edges.append((kind, line, off))
-        new_edges.extend((along, pos + 1 + 2 * j, i) for j in range(k) for i, pos in enumerate(path))
-        return new_edges
 
     # untried[i] lists step i's candidate positions not yet tried, the next one last:
     # the first step from the middle outwards, each later one nearest its predecessor first.
@@ -129,10 +106,42 @@ def _grow_keys(board: BoardSpec, keys: frozenset[EdgeKey],
             leaves += 1
             if leaves > _MAX_LEAVES:
                 raise ExpansionFailedError(f"cut search leaf budget exhausted on {board}")
-            if _verify_keys(grown(1), rebuild(1)).fault_free:
-                return grown(k), frozenset(rebuild(k))
+            if _verify_keys(*_lay_bands(board, keys, axis, path, 1)).fault_free:
+                return path
         path.pop()
     raise ExpansionFailedError(f"no verifying cut path for {board} axis={axis}")
+
+
+def _lay_bands(board: BoardSpec, keys: Iterable[EdgeKey], axis: str,
+               path: Sequence[int], k: int) -> tuple[BoardSpec, list[EdgeKey]]:
+    """The board grown by 2k rows or columns, and its tiling's edge keys: every
+    domino beyond the cut `path` shifted by 2k, and k bands along it, one domino per step each.
+
+    A domino across line `line` of the crossed kind lies beyond the cut
+    when its offset is at or past path[line - 1]; the run from there to
+    path[line] is unblocked, so either step gives the same side, and
+    path[-1] serves the glued line 0.
+    """
+    along, shift = "h" if axis == ROWS else "v", 2 * k
+    new_edges: list[EdgeKey] = []
+    for kind, line, off in keys:
+        if kind == along:
+            if line and line >= path[off]:
+                line += shift
+        elif off >= path[line - 1]:
+            off += shift
+        new_edges.append((kind, line, off))
+    new_edges.extend((along, pos + 1 + 2 * j, i) for j in range(k) for i, pos in enumerate(path))
+    a, b = (board.a + shift, board.b) if axis == ROWS else (board.a, board.b + shift)
+    return build_board(board.topology, a, b), new_edges
+
+
+def _grow_keys(board: BoardSpec, keys: frozenset[EdgeKey],
+               axis: str, k: int) -> tuple[BoardSpec, frozenset[EdgeKey]]:
+    """One cut search and k bands along its path: `keys` must verify fault-free on `board`,
+    `axis` be ROWS or COLS and k >= 1."""
+    grown, new_keys = _lay_bands(board, keys, axis, _cut_path(board, keys, axis), k)
+    return grown, frozenset(new_keys)
 
 
 def expand(tiling: Tiling, axis: str) -> Tiling:

@@ -89,8 +89,11 @@ def _report(board: BoardSpec,
         for line, n in enumerate(counts):
             if n:
                 crossings[_curve_id(board, axis, line)] += n
-    uncovered = tuple(divmod(i, b) for i, n in enumerate(coverage) if n == 0)
-    doubled = tuple(divmod(i, b) for i, n in enumerate(coverage) if n > 1)
+    if coverage.count(1) == board.area:  # every cell covered once: nothing to list
+        uncovered = doubled = ()
+    else:
+        uncovered = tuple(divmod(i, b) for i, n in enumerate(coverage) if n == 0)
+        doubled = tuple(divmod(i, b) for i, n in enumerate(coverage) if n > 1)
     matching_valid = not uncovered and not doubled
     uncrossed = tuple(cid for cid, n in sorted(crossings.items()) if n == 0)
     return VerificationReport(
@@ -128,10 +131,22 @@ DOCUMENT_BYTES_PER_DOMINO = 512
 
 
 def encode(tiling: Tiling) -> str:
-    """Serialize to the canonical witness document (UTF-8 JSON text), dominoes in edge-key order."""
-    board = tiling.board
-    # a tiling's edges are distinct, so its placements sort by edge key
-    rows = [_DOMINO % (*p.edge, *p.cells[0], *p.cells[1]) for p in sorted(tiling.dominoes)]
+    """Serialize to the canonical witness document (UTF-8 JSON text), dominoes in edge-key order.
+
+    Each domino's cells are written as its edge implies them; raises
+    InvalidWitnessError for a placement that does not belong to the board.
+    """
+    return _encode_keys(tiling.board, (p.edge for p in tiling.dominoes))
+
+
+def _encode_keys(board: BoardSpec, keys: Iterable[EdgeKey]) -> str:
+    """encode() for a tiling given as edge keys, each domino's cells implied by its key."""
+    rows = []
+    for key in sorted(keys):
+        cells = _edge_cells(board, *key)
+        if cells is None:
+            raise InvalidWitnessError(f"no edge {tuple(key)} on {board}")
+        rows.append(_DOMINO % (*key, *cells[0], *cells[1]))
     dominoes = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     return _DOCUMENT % (board.topology.value, board.a, board.b, dominoes)
 

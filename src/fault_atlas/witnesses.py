@@ -5,8 +5,14 @@ family (fewest double rows and columns, then lowest id): the base board's
 edge keys grown by n double rows in one cut and then by m double columns in
 one cut.  A family whose base is the board itself (1 x 2, say) is a chain of
 length 0.  Base witnesses are checked-in data (`bases.py`), re-verified when
-first loaded; no search runs.  The grown keys are verified once, and
-placements are built once, for the returned witness.
+first loaded; no search runs.
+
+A cut path depends only on its family step: the row cut on the base alone,
+the column cut on the base and n.  `_chain_cut` keeps each step's path, so a
+process runs one cut search per family step, however many boards share it
+(a 20 x 20 census asks for a few hundred cuts and searches at most 30).  The
+grown keys are verified once per board and written to the cache straight
+from the keys; placements are built only for a returned `Tiling`.
 """
 
 from __future__ import annotations
@@ -15,12 +21,13 @@ import functools
 import os
 import stat
 from pathlib import Path
+from typing import Collection, Iterable
 
 from .classify import classify, matching_tileable_families
 from .errors import (ExpansionFailedError, InvalidWitnessError, InvariantError, WitnessDecodeError,
                      WitnessUnavailableError)
-from .expansion import COLS, ROWS, _grow_keys
-from .tiling import (DOCUMENT_BYTES_PER_DOMINO, EdgeKey, Tiling, _verify_keys, decode_for_board, encode,
+from .expansion import COLS, ROWS, _cut_path, _lay_bands
+from .tiling import (DOCUMENT_BYTES_PER_DOMINO, EdgeKey, Tiling, _encode_keys, _verify_keys, decode_for_board,
                      tiling_from_edges, verify)
 from .topology import BoardSpec, Topology, build_board
 
@@ -63,15 +70,26 @@ class WitnessStore:
         return tiling
 
     def save(self, tiling: Tiling) -> Path:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(tiling.board)
+        return self._save_keys(tiling.board, (p.edge for p in tiling.dominoes))
+
+    def _save_keys(self, board: BoardSpec, keys: Iterable[EdgeKey]) -> Path:
+        """Write the tiling with these edge keys as `board`'s entry, making the directory if missing."""
+        text = _encode_keys(board, keys)
+        path = self.path_for(board)
         # Write beside the entry, then rename over it, so no reader sees half a file.
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(encode(tiling), encoding="utf-8")
+            file = open(tmp, "w", encoding="utf-8")
+        except FileNotFoundError:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            file = open(tmp, "w", encoding="utf-8")
+        try:
+            with file:
+                file.write(text)
             os.replace(tmp, path)
-        finally:
+        except BaseException:
             tmp.unlink(missing_ok=True)
+            raise
         return path
 
 
@@ -99,23 +117,45 @@ def _base_witness(board: BoardSpec) -> frozenset[EdgeKey]:
     return keys
 
 
-def _expansion_chain(board: BoardSpec) -> frozenset[EdgeKey]:
+@functools.lru_cache(maxsize=256)  # one path per family step: at most 30 in a 20 x 20 census
+def _chain_cut(base: BoardSpec, n: int, axis: str) -> tuple[int, ...]:
+    """The cut path of a chain step from family base `base`: along `axis` on the base
+    grown by n double rows (the row step has n = 0)."""
+    board, keys = base, _base_witness(base)
+    if n:
+        board, rows = _lay_bands(base, keys, ROWS, _chain_cut(base, 0, ROWS), n)
+        keys = frozenset(rows)
+    return tuple(_cut_path(board, keys, axis))
+
+
+def _expansion_chain(board: BoardSpec) -> Collection[EdgeKey]:
     """The edge keys grown from the nearest family base, one cut per axis."""
     fam, n, m = min(matching_tileable_families(board), key=lambda t: (t[1] + t[2], t[0].id))
     base = build_board(board.topology, *fam.base)
-    current = base, _base_witness(base)
+    grown, keys = base, _base_witness(base)
     try:
-        for axis, k in ((ROWS, n), (COLS, m)):
-            if k:
-                current = _grow_keys(*current, axis, k)
+        if n:
+            grown, keys = _lay_bands(grown, keys, ROWS, _chain_cut(base, 0, ROWS), n)
+        if m:
+            grown, keys = _lay_bands(grown, keys, COLS, _chain_cut(base, n, COLS), m)
     except ExpansionFailedError as exc:
         raise WitnessUnavailableError(f"the nearest family chain grows no witness for {board}") from exc
-    grown, keys = current
     if board.topology is Topology.TORUS and board.a < board.b:  # tori are swap-symmetric: swap rows and columns
         grown = build_board(Topology.TORUS, grown.b, grown.a)
-        keys = frozenset(("v" if axis == "h" else "h", line, off) for axis, line, off in keys)
+        keys = [("v" if axis == "h" else "h", line, off) for axis, line, off in keys]
     if grown != board:
         raise InvariantError(f"chain from {fam.base} grew {grown}, not {board}")
+    return keys
+
+
+def _witness_keys(board: BoardSpec, store: WitnessStore | None) -> Collection[EdgeKey]:
+    """witness()'s core past the cache lookup: the chain's edge keys, verified, and saved to
+    `store` if one is given."""
+    keys = _expansion_chain(board)
+    if not _verify_keys(board, keys).fault_free:
+        raise InvariantError(f"witness for {board} fails verification")
+    if store is not None:
+        store._save_keys(board, keys)
     return keys
 
 
@@ -133,10 +173,4 @@ def witness(board: BoardSpec, *, store: WitnessStore | None = None) -> Tiling:
         cached = store.load(board)
         if cached is not None:
             return cached
-    keys = _expansion_chain(board)
-    if not _verify_keys(board, keys).fault_free:
-        raise InvariantError(f"witness for {board} fails verification")
-    result = tiling_from_edges(board, keys)
-    if store is not None:
-        store.save(result)
-    return result
+    return tiling_from_edges(board, _witness_keys(board, store))

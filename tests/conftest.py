@@ -423,7 +423,8 @@ def failing_chains(monkeypatch):
     import fault_atlas.witnesses as w
     from fault_atlas import ExpansionFailedError
 
-    def fail(board, keys, axis, k):
+    def fail(board, keys, axis):
         raise ExpansionFailedError(f"no cut path on {board}")
 
-    monkeypatch.setattr(w, "_grow_keys", fail)
+    w._chain_cut.cache_clear()  # a kept path would skip the search
+    monkeypatch.setattr(w, "_cut_path", fail)

@@ -444,8 +444,9 @@ class TestCensus:
         from fault_atlas.witnesses import WitnessStore
 
         saved = []
-        save = WitnessStore.save
-        monkeypatch.setattr(WitnessStore, "save", lambda store, tiling: saved.append(save(store, tiling).name))
+        save = WitnessStore._save_keys
+        monkeypatch.setattr(WitnessStore, "_save_keys",
+                            lambda store, board, keys: saved.append(save(store, board, keys).name))
         cache = tmp_path / "cache"
         code, _, _ = run(capsys, "census", "--topology", "mobius", "--max", str(size),
                          "--out", str(tmp_path / "m.txt"), "--witnesses", str(cache),

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -22,6 +24,7 @@ from fault_atlas import (
     encode,
     fault_curves,
     find_fault_free,
+    placements,
     verify,
     witness,
 )
@@ -98,6 +101,38 @@ class TestVerify:
         assert not report.matching_valid
         assert report.uncovered_cells == ((1, 0), (1, 1))
         assert not report.fault_free
+
+    @pytest.mark.parametrize("topo", list(Topology), ids=lambda t: t.value)
+    def test_defect_listings_match_a_reference(self, topo):
+        # Dropped, added and overlapping dominoes, and pairs of placements: on odd-area
+        # boards a pair can leave exactly one cell uncovered or doubly covered.
+        def listing(board, keys):
+            counts = Counter(cell for key in keys for cell in cells_of[key])
+            cells = [(r, c) for r in range(board.a) for c in range(board.b)]
+            return (tuple(x for x in cells if counts[x] == 0), tuple(x for x in cells if counts[x] > 1))
+
+        checked = 0
+        for a in range(1, 6):
+            for b in range(1, 6):
+                board = build_board(topo, a, b)
+                cells_of = {p.edge.key(): p.cells for p in placements(board)}
+                every = sorted(cells_of)
+                corrupted = [list(pair) for pair in itertools.combinations(every, 2)]
+                if classify(board).tileable:
+                    full = sorted(p.edge.key() for p in witness(board).dominoes)
+                    for i, key in enumerate(full):
+                        rest = full[:i] + full[i + 1:]
+                        corrupted.append(rest)  # a domino dropped
+                        corrupted += [rest + [other] for other in every if other != key]  # one moved
+                    corrupted += [full + [other] for other in every if other not in full]  # one added
+                for keys in corrupted:
+                    report = _verify_keys(board, keys)
+                    uncovered, doubled = listing(board, keys)
+                    assert (report.uncovered_cells, report.doubly_covered_cells) == (uncovered, doubled), \
+                        (board, keys)
+                    assert report.matching_valid == (not uncovered and not doubled)
+                    checked += 1
+        assert checked > 1000
 
     def test_crossing_counts_sum_to_capacity(self):
         for topo, a, b in [("rectangle", 5, 6), ("cylinder", 4, 6),

@@ -13,6 +13,8 @@ import hashlib
 from pathlib import Path
 from typing import Iterator
 
+import pytest
+
 from fault_atlas import Topology, build_board, classify, encode, witness
 
 GOLDEN = Path(__file__).parent / "golden" / "witness_sha256.txt"
@@ -42,6 +44,25 @@ def test_witness_bytes_match_golden_digests():
     assert len(actual) == len(expected)
     changed = [(e, a) for e, a in zip(expected, actual) if e != a]
     assert not changed, f"{len(changed)} witnesses changed, first: {changed[0]}"
+
+
+@pytest.mark.parametrize("topo", list(Topology), ids=lambda t: t.value)
+def test_cold_census_files_match_golden_digests(tmp_path, topo):
+    # census writes through the store's key path, not encode(witness(...))
+    import fault_atlas.witnesses as w
+    from fault_atlas.cli import main
+
+    expected = {}
+    for line in GOLDEN.read_text(encoding="utf-8").splitlines():
+        name, a, b, digest = line.split()
+        if name == topo.value and int(a) <= 20 and int(b) <= 20:
+            expected[f"{name}_{a}x{b}.json"] = digest
+    cache = tmp_path / "cache"
+    w._chain_cut.cache_clear()
+    assert main(["census", "--topology", topo.value, "--max", "20", "--out", str(tmp_path / "chart.txt"),
+                 "--witnesses", str(cache), "--witness-limit", "20"]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in cache.iterdir()}
+    assert written == expected
 
 
 if __name__ == "__main__":

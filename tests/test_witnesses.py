@@ -205,6 +205,41 @@ class TestChainMemo:
             assert encode(witness(board)) == plain[board], board
 
 
+class TestChainCuts:
+    """A process searches each family step's cut once, and a kept cut gives the bytes a fresh one does."""
+
+    @pytest.mark.parametrize("topo", list(Topology), ids=lambda t: t.value)
+    def test_census_runs_one_cut_search_per_family_step(self, monkeypatch, tmp_path, topo):
+        import fault_atlas.witnesses as w
+        from fault_atlas.cli import main
+
+        searched = []
+        real_cut = w._cut_path
+
+        def recording(board, keys, axis):
+            searched.append((board, frozenset(keys), axis))
+            return real_cut(board, keys, axis)
+
+        w._chain_cut.cache_clear()
+        monkeypatch.setattr(w, "_cut_path", recording)
+        assert main(["census", "--topology", topo.value, "--max", "20", "--out", str(tmp_path / "chart.txt"),
+                     "--witnesses", str(tmp_path / "cache"), "--witness-limit", "20"]) == 0
+        assert 0 < len(searched) <= 30
+        assert len(set(searched)) == len(searched)  # no step searched twice
+        assert w._chain_cut.cache_info().currsize == len(searched)
+
+    def test_kept_cuts_equal_fresh_ones(self):
+        import fault_atlas.witnesses as w
+
+        boards = [build_board(topo, a, b) for topo in Topology for a in range(1, 21) for b in range(1, 21)]
+        boards = [board for board in boards if classify(board).tileable]
+        w._chain_cut.cache_clear()
+        kept = {board: encode(witness(board)) for board in reversed(boards)}
+        for board in boards:
+            w._chain_cut.cache_clear()
+            assert encode(witness(board)) == kept[board], board
+
+
 class TestChainOnEdgeKeys:
     @pytest.mark.parametrize("topo,a,b", [("cylinder", 4, 40), ("torus", 6, 12)])
     def test_placements_are_built_once(self, monkeypatch, topo, a, b):
@@ -213,21 +248,22 @@ class TestChainOnEdgeKeys:
 
         board = build_board(topo, a, b)
         witness(board)  # loads the base's edge keys, which builds no placements
+        w._chain_cut.cache_clear()  # so the counted witness() searches its cuts again
         built = []
         grown = []
-        real_build, real_grow = w.tiling_from_edges, w._grow_keys
+        real_build, real_cut = w.tiling_from_edges, w._cut_path
 
         def recording(on, edges):
             built.append(on)
             return real_build(on, edges)
 
-        def counting(on, keys, axis, k):
+        def counting(on, keys, axis):
             grown.append(axis)
-            return real_grow(on, keys, axis, k)
+            return real_cut(on, keys, axis)
 
         for module in (w, fault_atlas.expansion):
             monkeypatch.setattr(module, "tiling_from_edges", recording)
-        monkeypatch.setattr(w, "_grow_keys", counting)
+        monkeypatch.setattr(w, "_cut_path", counting)
         tiling = witness(board)
         assert built == [board]
         assert verify(board, tiling).fault_free
@@ -236,11 +272,11 @@ class TestChainOnEdgeKeys:
     def test_witness_reverifies_the_chain_result(self, monkeypatch):
         import fault_atlas.witnesses as w
 
-        def no_band(board, keys, axis, k):  # grows the board, lays no band: the result cannot verify
+        def no_band(board, keys, axis, path, k):  # grows the board, lays no band: the result cannot verify
             a, b = (board.a + 2 * k, board.b) if axis == "rows" else (board.a, board.b + 2 * k)
             return build_board(board.topology, a, b), keys
 
-        monkeypatch.setattr(w, "_grow_keys", no_band)
+        monkeypatch.setattr(w, "_lay_bands", no_band)
         with pytest.raises(InvariantError, match="fails verification"):
             witness(build_board("cylinder", 6, 6))
 
