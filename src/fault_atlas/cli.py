@@ -24,7 +24,7 @@ from .errors import (
 )
 from .tiling import DOCUMENT_BYTES_PER_DOMINO, decode, encode, verify
 from .topology import Topology, build_board
-from .witnesses import _witness_keys, default_store, witness
+from .witnesses import _witness_keys, _witness_text, default_store, witness
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,16 +132,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_OK
     store = default_store(args.witnesses)
     try:
-        tiling = witness(board, store=store)
+        if args.format == "json":
+            text = _witness_text(board, store)  # one encode, shared with the store
+        else:
+            from .render import ascii_render, svg_render
+
+            text = (ascii_render if args.format == "ascii" else svg_render)(witness(board, store=store))
     except WitnessUnavailableError as exc:
         print(f"{board}: inconclusive ({exc})")
         return EXIT_OK
-    if args.format == "json":
-        _write_out(encode(tiling), args.out)
-        return EXIT_OK
-    from .render import ascii_render, svg_render
-
-    _write_out((ascii_render if args.format == "ascii" else svg_render)(tiling), args.out)
+    _write_out(text, args.out)
     return EXIT_OK
 
 

@@ -21,19 +21,37 @@ each other.  The frontier stays short, so fault curves close, and prunes
 fire, early.  Bit k of the crossed mask is fault curve k, numbered as
 `topology._curve_id` numbers them.  Moves are tried vertical-first, then
 horizontal, then wrapping; then by line and offset, the glued row edge before
-the seam, which makes node counts reproducible.  The table is built line by
-line in that order, so an edge's id is its rank: each cell keeps the curves
-it touches and, with no sort, the edges whose other cell lies above it.
+the seam, which makes node counts reproducible.
+
+Set-up builds only the sweep maps and their inverse, O(a + b).  The one
+board-wide check, that some curve has no crossing edge (then no tiling is
+fault-free), reads line 0 alone: every internal grid line has an edge at each
+offset, so only a glued line 0 (the row edge of a torus, the seam) can lack
+one, and it has one at offset 0 if it has any.  A swept line is built when the
+walk first expands one of its cells: the edges whose lower cell lies in it,
+each with its mask and curve, and the curves at their cells.  Each line up to
+the one that holds the upper cells of those edges is built with it, so a
+cell's set of curves is complete before a move reads it.  Lines are built in
+sweep order, and each line's edges in the order moves are tried, so every cell
+lists its moves in that order with no sort.  A search refuted at its root
+builds a line or two: the cost follows the cells the walk reaches, not the
+size of the board.
 
 Every cell below the expanded cell i is covered, so only the dominoes whose
 other cell lies above i are moves at i; they are built when the walk first
 expands i.  Each move carries, for every other curve at its two cells, that
-curve's whole tuple of crossing pairs, highest first as low bits are covered
-first, built on first need and shared by all its moves.  Scanning the whole
-tuple cuts the same children as scanning only the pairs above i would: a pair
-whose lower cell is below i is covered already, and one whose lower cell is i
-is covered in the child, so neither is ever free, and a curve with no pair
-above i is still cut.  The unpruned search gets no prune data.
+curve's crossing pairs, highest first as low bits are covered first, in one
+sequence that all its moves share.  A curve whose lines are all built when a
+move first needs it gets a tuple.  Else it gets a list holding only a sentinel
+0 until the line with its last pair is built, which fills the list in place.
+The sentinel stands for the pairs not built yet: their cells lie beyond every
+line the walk has reached, so they are free, as the sentinel, which meets no
+cover, is.  A pair's mask is made once, for its move, and the list shares it.
+Scanning the whole list cuts the same children as scanning only the pairs
+above i would: a pair whose lower cell is below i is covered already, and one
+whose lower cell is i is covered in the child, so neither is ever free, and a
+curve with no pair above i is still cut.  The unpruned search gets no prune
+data.
 
 On a cylinder, torus or Moebius strip with a >= 2 the search keeps one root
 move.  Every fault-free tiling crosses horizontal line 1, and only a
@@ -71,12 +89,12 @@ witness.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from collections import defaultdict
 from typing import Iterator, NamedTuple
 
 from .errors import InvariantError, OracleRangeError
 from .tiling import Tiling, tiling_from_edges, verify
-from .topology import _MOBIUS, _RECTANGLE, _TORUS, BoardSpec, _curve_id, _seam_cells
+from .topology import _MOBIUS, _RECTANGLE, _TORUS, BoardSpec, _curve_id, _edge_cells, _fold_lines
 
 FOUND = "found"
 EXHAUSTED = "exhausted-none"
@@ -106,51 +124,135 @@ def _sweep(board: BoardSpec) -> tuple[list[int], list[int]]:
     return (lines, [*range(b)]) if rows else ([*range(a)], lines)
 
 
-class _Geometry:
-    """The board as bit masks, built line by line; each cell's moves are built on request."""
+def _uncrossable(board: BoardSpec) -> bool:
+    """Whether some fault curve has no crossing edge, read from line 0 alone.
 
-    __slots__ = ("row_bit", "col_bit", "edges", "bits", "mask", "curve", "pairs", "below", "at", "entry", "full")
+    Every internal grid line has a crossing edge at each offset, so only a glued line 0 (the row
+    edge of a torus, the seam) can lack one, and it has one at offset 0 if it has any.
+    """
+    return any(0 in _fold_lines(board, axis) and _edge_cells(board, axis, 0, 0) is None for axis in "hv")
+
+
+def _crossings(board: BoardSpec, k: int) -> int:
+    """How many crossing edges fault curve k has: b per horizontal grid line, a per vertical one, but on line 0."""
+    a, b, topo = board.a, board.b, board.topology
+    horizontal = a if topo is _TORUS else a // 2 if topo is _MOBIUS else a - 1  # the curves before the vertical ones
+    if k >= horizontal:  # vertical line k - horizontal, + 1 on a rectangle; line 0 is the seam
+        if k > horizontal or topo is _RECTANGLE:
+            return a
+        return a if b > 1 else a // 2 if topo is _MOBIUS else 0  # offsets r and a-1-r name one segment if b = 1
+    if topo is _TORUS:  # line k; line 0 is the glued row edge
+        return b if k or a > 1 else 0
+    return 2 * b if topo is _MOBIUS and 2 * k + 2 != a else b  # line k+1, with line a-k-1 on a Moebius strip
+
+
+class _Geometry:
+    """The board as bit masks, built one swept line at a time as the walk reaches it; each cell's moves on request.
+
+    The sweep lists each line's cells in order, so the cells of a swept line are consecutive bits.
+    """
+
+    __slots__ = ("board", "row_bit", "col_bit", "rows", "width", "order", "ids", "end", "below", "at", "pairs",
+                 "growing", "entry", "full")
 
     def __init__(self, board: BoardSpec) -> None:
-        a, b, topo = board.a, board.b, board.topology
+        a, b = board.a, board.b
+        self.board = board
         self.row_bit, self.col_bit = row_bit, col_bit = _sweep(board)
-        # edges[eid] = (axis, line, offset, cells), line by line in the order moves are tried: vertical
-        # dominoes, horizontal ones, then the wraps by offset, the glued row edge's before the seam's.
-        edges = [("h", l, c, ((l - 1, c), (l, c))) for l in range(1, a) for c in range(b)]
-        edges += [("v", l, r, ((r, l - 1), (r, l))) for l in range(1, b) for r in range(a)]
-        rim = [("h", 0, c, ((a - 1, c), (0, c))) for c in range(b)] if topo is _TORUS and a > 1 else []
-        seam = [("v", 0, r, s) for r in range(a) if (s := _seam_cells(board, r))] if topo is not _RECTANGLE else []
-        self.edges = edges = edges + [edge for pair in zip_longest(rim, seam) for edge in pair if edge]
-        ids = {axis: [_curve_id(board, axis, line) for line in range(n)] for axis, n in (("h", a), ("v", b))}
-        self.bits = bits = []  # the (lower, upper) bits of each edge's cells
-        self.mask = mask = []  # each edge's cells as a mask, the one int its move and its curve's pairs share
-        self.curve = curve = []  # each edge's curve id
-        self.pairs = pairs = [[] for _ in range(_curve_id(board, "v", b))]
-        self.below = below = [[] for _ in range(a * b)]  # the ids of the edges whose lower cell is each cell
-        self.at = at = [set() for _ in range(a * b)]  # the curves at each cell
-        for eid, (axis, line, _offset, ((r1, c1), (r2, c2))) in enumerate(edges):
-            x, y = row_bit[r1] + col_bit[c1], row_bit[r2] + col_bit[c2]
-            x, y = (x, y) if x < y else (y, x)
-            below[x].append(eid)
-            bits.append((x, y))
-            curve.append(k := ids[axis][line])
-            at[x].add(k)
-            at[y].add(k)
-            mask.append(1 << x | 1 << y)
-            pairs[k].append(mask[-1])
-        self.entry: list[tuple | None] = [None] * len(pairs)  # (curve bit, crossing pairs) once a row needs it
+        # Rows are swept when each row's cells are consecutive bits: one cell each on a board one column wide.
+        self.rows = rows = a > 1 and (b == 1 or col_bit[1] == 1)
+        self.width = width = b if rows else a
+        starts = row_bit if rows else col_bit
+        self.order = sorted(range(len(starts)), key=starts.__getitem__)  # the grid row or column at each place
+        self.ids = [_curve_id(board, "v" if rows else "h", line) for line in range(width)]  # curves along the sweep
+        self.end = 0  # the first bit of the lines not yet built: the lines are built in sweep order
+        # Per cell: (cells mask, curve, edge key, upper bit) of the edges whose lower cell it is; and its curves,
+        # all of them once the lines up to its own are built.  Per curve: its built pairs, until a move needs them.
+        self.below: defaultdict[int, list[tuple]] = defaultdict(list)
+        self.at: defaultdict[int, set[int]] = defaultdict(set)
+        self.pairs: defaultdict[int, list[int]] = defaultdict(list)
+        self.growing: dict[int, tuple[list[int], int]] = {}  # curve -> (its list in the moves, its pair count)
+        self.entry: list[tuple | None] = [None] * _curve_id(board, "v", b)  # (curve bit, crossing pairs) on need
         self.full = (1 << board.area) - 1
 
+    def _build_line(self) -> None:
+        """Build the next swept line: its cells' edges to higher cells, in move order, and the curves at their cells.
+
+        A line's cells are consecutive bits in order, so an edge along the line joins bit j-1 to bit j of it
+        (the glued row edge or the seam along it, bit 0 to the last), and an edge across to line o joins bit j
+        of each.  An edge across belongs to the line swept first.
+        """
+        board, ids, below, at, pairs, growing = self.board, self.ids, self.below, self.at, self.pairs, self.growing
+        a, b, topo, width, rows = board.a, board.b, board.topology, self.width, self.rows
+        starts, n, across, along = (self.row_bit, a, "h", "v") if rows else (self.col_bit, b, "v", "h")
+        lo = self.end
+        g = self.order[lo // width]
+        edges = [(lo + j - 1, lo + j, ids[j], (along, j, g)) for j in range(1, width)]  # (lower, upper, curve, key)
+        # Grid line g joins line g to line g-1, grid line g+1 joins it to line g+1: an edge across joins bit j of each.
+        cross = [(lo + j, starts[o] + j, k, (across, l, j)) for l, o in ((g, g - 1), (g + 1, g + 1))
+                 if 0 < l < n and lo < starts[o] for k in [_curve_id(board, across, l)] for j in range(width)]
+        edges = cross + edges if rows else edges + cross  # vertical dominoes before horizontal ones
+        if topo is not _RECTANGLE:  # the wraps by offset: the glued row edge's (curve 0 on a torus), then the seam's
+            if rows:
+                o = a - 1 - g  # rows 0 and a-1 meet at the glued row edge; rows g and a-1-g at a Moebius seam
+                if topo is _TORUS and g in (0, a - 1) and lo < starts[o]:
+                    edges += [(lo + j, starts[o] + j, 0, ("h", 0, j)) for j in range(width)]
+                if topo is not _MOBIUS or o == g:  # the seam joins row g's ends: bit 0 to the last
+                    if b > 1:
+                        edges.append((lo, lo + width - 1, ids[0], ("v", 0, g)))
+                elif lo < starts[o]:  # offset g joins (g, b-1) to (o, 0), offset o joins (o, b-1) to (g, 0)
+                    y = starts[o]
+                    seam = sorted([(g, lo + width - 1, y), (o, lo, y + width - 1)])  # by offset
+                    if b == 1:  # one column wide, the two offsets name one segment, kept at the lower one
+                        del seam[1]
+                    edges += [(x, z, ids[0], ("v", 0, r)) for r, x, z in seam]
+            else:
+                if topo is _TORUS and a > 1:  # the glued row edge joins column g's ends: bit 0 to the last
+                    edges.append((lo, lo + width - 1, ids[0], ("h", 0, g)))
+                o = b - 1 - g  # the seam joins column b-1 to column 0, rows flipped on a Moebius strip
+                if g in (0, b - 1) and lo < starts[o]:
+                    y, k, flip = starts[o], _curve_id(board, "v", 0), topo is _MOBIUS
+                    edges += [(lo + (a - 1 - r if flip and not g else r), y + (a - 1 - r if flip and g else r), k,
+                               ("v", 0, r)) for r in range(a)]
+        for x, y, k, key in edges:
+            mask = (1 << y - x | 1) << x  # one big int made, not three
+            below[x].append((mask, k, key, y))
+            at[x].add(k)
+            at[y].add(k)
+            pairs[k].append(mask)
+            if k in growing:  # a move carries the curve's list already: fill it in place with the curve's last pair
+                grow, total = growing[k]
+                if len(pairs[k]) == total:
+                    del growing[k]
+                    grow[:] = sorted(pairs.pop(k), reverse=True)
+        self.end += width
+
+    def _pairs(self, k: int) -> tuple[int, ...] | list[int]:
+        """Curve k's crossing pairs as cell masks, highest first, once a move needs them.
+
+        A tuple if all are built; else a list holding a free sentinel 0 until the last is, then all of them.
+        """
+        total = _crossings(self.board, k)
+        if len(self.pairs[k]) == total:
+            return tuple(sorted(self.pairs.pop(k), reverse=True))
+        grow = [0]
+        self.growing[k] = (grow, total)
+        return grow
+
     def row(self, i: int, prune: bool) -> Iterator[tuple]:
-        """Cell i's moves in id order, each built when asked for: (cells mask, curve bit, edge id, near)."""
-        bits, mask, curve, at, entry = self.bits, self.mask, self.curve, self.at, self.entry
-        for eid in self.below[i]:
-            near = at[i] | at[bits[eid][1]] if prune else set()  # the curves at the domino's cells
-            near.discard(k := curve[eid])
+        """Cell i's moves in the order they are tried, each made when asked for: (cells mask, curve bit, key, near)."""
+        at, entry = self.at, self.entry
+        while self.end <= i:
+            self._build_line()
+        for mask, k, key, y in self.below[i]:
+            while self.end <= y:  # the curves at y are all known once y's line is built
+                self._build_line()
+            near = at[i] | at[y] if prune else set()  # the curves at the domino's cells
+            near.discard(k)
             for c in near:
                 if entry[c] is None:
-                    entry[c] = (1 << c, tuple(sorted(self.pairs[c], reverse=True)))
-            yield mask[eid], 1 << k, eid, tuple([entry[c] for c in near])
+                    entry[c] = (1 << c, self._pairs(c))
+            yield mask, 1 << k, key, tuple([entry[c] for c in near])
 
 
 def _traverse(board: BoardSpec, *, prune: bool) -> tuple:
@@ -160,29 +262,29 @@ def _traverse(board: BoardSpec, *, prune: bool) -> tuple:
     """
     if board.area % 2:
         return False, 0, 0, 0, []
-    geo = _Geometry(board)
-    if prune and not all(geo.pairs):  # a curve no domino crosses: no tiling is fault-free
+    if prune and _uncrossable(board):  # a curve no domino crosses: no tiling is fault-free
         return False, 0, 0, 0, []
+    geo = _Geometry(board)
     full, root = geo.full, geo.row(0, prune)
     if board.topology is not _RECTANGLE and board.a > 1:
         # Some shift along the glued columns puts a domino across line 1 on edge ("h", 1, 0).
         root = [next(root)]  # the other root moves are never built
-        if geo.edges[root[0][2]][:3] != ("h", 1, 0):
+        if root[0][2] != ("h", 1, 0):
             raise InvariantError(f"the first move at the root of {board} is not edge ('h', 1, 0)")
     moves: list[list[tuple] | None] = [None] * board.area  # each cell's moves, built when the walk first expands it
-    need = (1 << len(geo.pairs)) - 1  # a leaf must cross every curve
+    need = (1 << len(geo.entry)) - 1  # a leaf must cross every curve
     width = min(board.a, board.b)
     pruned = hits = stored = 0
     young: dict[int, tuple[int, ...]] = {}  # cover -> crossed masks that failed with it at a line start
     old: dict[int, tuple[int, ...]] = {}  # the generation before young
     # The open node is (cover, crossed, line_start, untried moves); each open ancestor waits
-    # on the stack as that tuple plus the edge id of the child it is in.  The root starts a
+    # on the stack as that tuple plus the edge key of the child it is in.  The root starts a
     # line and meets an empty memo.
     stack: list[tuple] = []
     cover = crossed = 0
     line_start, untried, nodes = True, iter(root), 1
     while True:
-        for mask, bit, eid, near in untried:
+        for mask, bit, key, near in untried:
             if mask & cover:
                 continue
             child = cover | mask
@@ -198,10 +300,9 @@ def _traverse(board: BoardSpec, *, prune: bool) -> tuple:
             else:
                 if child == full:
                     if not need & ~now:
-                        path = [e for *_, e in stack] + [eid]  # the edge ids from the root down
-                        return True, nodes, pruned, hits, [geo.edges[e][:3] for e in path]
+                        return True, nodes, pruned, hits, [e for *_, e in stack] + [key]  # root down
                     continue
-                i = (~child & (child + 1)).bit_length() - 1  # every cell below the lowest free one is covered
+                i = (child ^ (child + 1)).bit_length() - 1  # the lowest free cell: every cell below it is covered
                 for failed in young.get(child, ()) + old.get(child, ()) if not i % width else ():
                     if not now & ~failed:  # (child, failed) failed and now is a subset of failed
                         hits += 1
@@ -210,7 +311,7 @@ def _traverse(board: BoardSpec, *, prune: bool) -> tuple:
                     nodes += 1
                     if (row := moves[i]) is None:  # the walk expands cell i for the first time
                         row = moves[i] = [*geo.row(i, prune)]
-                    stack.append((cover, crossed, line_start, untried, eid))
+                    stack.append((cover, crossed, line_start, untried, key))
                     cover, crossed, line_start, untried = child, now, not i % width, iter(row)
                     break
         else:  # every move tried: the open node fails

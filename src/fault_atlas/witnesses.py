@@ -28,7 +28,7 @@ from .errors import (ExpansionFailedError, InvalidWitnessError, InvariantError, 
                      WitnessUnavailableError)
 from .expansion import COLS, ROWS, _cut_path, _lay_bands
 from .tiling import (DOCUMENT_BYTES_PER_DOMINO, EdgeKey, Tiling, _encode_keys, _verify_keys, decode_for_board,
-                     tiling_from_edges, verify)
+                     encode, tiling_from_edges, verify)
 from .topology import BoardSpec, Topology, build_board
 
 CACHE_ENV = "FAULT_ATLAS_CACHE"
@@ -74,7 +74,10 @@ class WitnessStore:
 
     def _save_keys(self, board: BoardSpec, keys: Iterable[EdgeKey]) -> Path:
         """Write the tiling with these edge keys as `board`'s entry, making the directory if missing."""
-        text = _encode_keys(board, keys)
+        return self._save_text(board, _encode_keys(board, keys))
+
+    def _save_text(self, board: BoardSpec, text: str) -> Path:
+        """Write an encoded witness document as `board`'s entry, making the directory if missing."""
         path = self.path_for(board)
         # Write beside the entry, then rename over it, so no reader sees half a file.
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -157,6 +160,22 @@ def _witness_keys(board: BoardSpec, store: WitnessStore | None) -> Collection[Ed
     if store is not None:
         store._save_keys(board, keys)
     return keys
+
+
+def _witness_text(board: BoardSpec, store: WitnessStore | None) -> str:
+    """encode(witness(board, store=store)) for a board classified tileable, encoded once.
+
+    A cache hit is encoded from its tiling; a fresh witness is encoded from the chain's keys,
+    and that text is what the store writes, with no placements built.
+    """
+    if store is not None:
+        cached = store.load(board)
+        if cached is not None:
+            return encode(cached)
+    text = _encode_keys(board, _witness_keys(board, None))
+    if store is not None:
+        store._save_text(board, text)
+    return text
 
 
 def witness(board: BoardSpec, *, store: WitnessStore | None = None) -> Tiling:

@@ -107,6 +107,30 @@ class TestSolveVerifyRenderExpand:
         code, out, _ = run(capsys, "verify", str(grown))
         assert code == 0
 
+    @pytest.mark.parametrize("cached", [True, False], ids=["store", "no-store"])
+    def test_solve_encodes_a_new_witness_once(self, capsys, tmp_path, monkeypatch, cached):
+        """A cache miss writes the document once: stdout and the cache entry are the text of one encode."""
+        from fault_atlas import build_board, encode, tiling, witness, witnesses
+
+        monkeypatch.delenv("FAULT_ATLAS_CACHE", raising=False)
+        calls = []
+        real = tiling._encode_keys
+
+        def counted(board, keys):
+            calls.append(board)
+            return real(board, keys)
+
+        monkeypatch.setattr(tiling, "_encode_keys", counted)
+        monkeypatch.setattr(witnesses, "_encode_keys", counted)
+        cache = tmp_path / "cache"
+        store = ["--witnesses", str(cache)] if cached else []
+        code, out, _ = run(capsys, "solve", "--topology", "torus", "--a", "6", "--b", "8", *store)
+        assert code == 0 and len(calls) == 1  # the store's encode and stdout's were two
+        board = build_board("torus", 6, 8)
+        assert out == encode(witness(board))
+        if cached:
+            assert (cache / "torus_6x8.json").read_text(encoding="utf-8") == out
+
     def test_solve_inconclusive_when_chains_fail(self, capsys, failing_chains):
         code, out, _ = run(capsys, "solve", "--topology", "cylinder", "--a", "6", "--b", "6")
         assert code == 0

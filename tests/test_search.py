@@ -6,6 +6,7 @@ import gc
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 
@@ -122,15 +123,34 @@ def cell_bit(geo, cell):
     return geo.row_bit[r] + geo.col_bit[c]
 
 
+def built(board):
+    """A geometry with every line built, as a walk that reaches the whole board leaves it."""
+    geo = _Geometry(board)
+    while geo.end < board.area:
+        geo._build_line()
+    return geo
+
+
+def table_moves(geo):
+    """(lower bit, cells mask, curve, edge key, upper bit) of every edge the built lines hold."""
+    return [(x, *move) for x, moves in geo.below.items() for move in moves]
+
+
 def test_geometry_pairs_match_fault_curves():
+    """Each curve's pairs are the cell masks of its crossing edges, whether asked for before or after its lines."""
     for board in boards_upto(10):
-        geo = _Geometry(board)
-        pairs = geo.pairs
-        assert [len(p) for p in pairs] == [len(c.crossing_edges) for c in fault_curves(board)], board
+        early = _Geometry(board)
+        asked = {c.id: early._pairs(c.id) for c in fault_curves(board)}  # before any line is built
+        while early.end < board.area:
+            early._build_line()
+        geo = built(board)
         for curve in fault_curves(board):
             cells = [p.cells for p in placements(board) if p.edge in curve.crossing_edges]
-            masks = [sum(1 << cell_bit(geo, cell) for cell in pair) for pair in cells]
-            assert sorted(pairs[curve.id]) == sorted(masks), (board, curve.id)
+            masks = sorted((sum(1 << cell_bit(geo, cell) for cell in pair) for pair in cells), reverse=True)
+            assert search._crossings(board, curve.id) == len(masks), (board, curve.id)
+            assert list(geo._pairs(curve.id)) == masks, (board, curve.id)
+            assert list(asked[curve.id]) == masks, (board, curve.id)  # grown to the whole list, the sentinel gone
+        assert not early.growing, board
 
 
 def test_sweep_follows_the_long_side():
@@ -139,10 +159,10 @@ def test_sweep_follows_the_long_side():
         for a in range(1, 25):
             for b in range(1, 25):
                 board = build_board(topo, a, b)
-                geo = _Geometry(board)
+                geo = built(board)
                 cells = [(r, c) for r in range(a) for c in range(b)]
                 assert sorted(cell_bit(geo, cell) for cell in cells) == list(range(a * b)), board
-                assert all(j - i <= 2 * min(a, b) for i, j in geo.bits), board
+                assert all(i < j <= i + 2 * min(a, b) for i, _, _, _, j in table_moves(geo)), board
 
 
 def test_search_builds_no_board_table(monkeypatch):
@@ -182,38 +202,74 @@ def test_move_table_carries_each_curves_whole_pair_list():
     """Each move sits at its lower cell and carries every other curve at its cells, with all that curve's pairs."""
     for board in boards_upto(24, max_area=24):
         geo = _Geometry(board)
-        moves = [[*geo.row(i, True)] for i in range(board.area)]  # every row, each built once
-        curve_pairs = {c.id: {sum(1 << cell_bit(geo, cell) for cell in p.cells)
-                              for p in placements(board) if p.edge in c.crossing_edges}
+        moves = [[*geo.row(i, True)] for i in range(board.area)]  # every row, each built once, lines as they are needed
+        cells = {p.edge: p.cells for p in placements(board)}
+        curve_pairs = {c.id: {sum(1 << cell_bit(geo, cell) for cell in cells[e]) for e in c.crossing_edges}
                        for c in fault_curves(board)}
         curve_at = [set() for _ in range(board.area)]  # curves with a crossing edge at each cell
         for p in placements(board):
             for cell in p.cells:
                 curve_at[cell_bit(geo, cell)].add(_curve_id(board, p.edge.axis, p.edge.line))
-        assert sorted(move[2] for row in moves for move in row) == list(range(len(geo.edges))), board
-        tuples = {}  # curve -> the ids of its pair tuples across the table
+        assert sorted(move[2] for row in moves for move in row) == sorted(cells), board
+        shared = {}  # curve -> the ids of its pair lists across the table
         for i, row in enumerate(moves):
-            for mask, bit, eid, near in row:
-                axis, line, _offset, cells = geo.edges[eid]
+            for mask, bit, key, near in row:
                 j = mask.bit_length() - 1
-                assert mask & -mask == 1 << i and j > i and mask == sum(1 << cell_bit(geo, cell) for cell in cells)
-                k = _curve_id(board, axis, line)
+                assert mask & -mask == 1 << i and j > i and mask == sum(1 << cell_bit(geo, cell) for cell in cells[key])
+                k = _curve_id(board, key[0], key[1])
                 assert bit == 1 << k
                 nearby = {c.bit_length() - 1: pairs for c, pairs in near}
-                assert len(nearby) == len(near) and nearby.keys() == (curve_at[i] | curve_at[j]) - {k}, (board, eid)
+                assert len(nearby) == len(near) and nearby.keys() == (curve_at[i] | curve_at[j]) - {k}, (board, key)
                 for c, pairs in nearby.items():
-                    assert len(pairs) == len(curve_pairs[c]) and set(pairs) == curve_pairs[c], (board, eid, c)
-                    assert list(pairs) == sorted(pairs, reverse=True), (board, eid, c)
-                    tuples.setdefault(c, set()).add(id(pairs))
-        assert all(len(ids) == 1 for ids in tuples.values()), board  # one shared tuple per curve
+                    assert len(pairs) == len(curve_pairs[c]) and set(pairs) == curve_pairs[c], (board, key, c)
+                    assert list(pairs) == sorted(pairs, reverse=True), (board, key, c)
+                    shared.setdefault(c, set()).add(id(pairs))
+        assert all(len(ids) == 1 for ids in shared.values()), board  # one shared pair list per curve
 
 
 def test_geometry_edges_are_the_boards_placements():
-    """The per-line pass gives every crossing edge of the board once, with the cells `placements` gives it."""
+    """The built lines give every crossing edge of the board once, at the bits of the cells `placements` gives it."""
     for board in boards_upto(24, max_area=24):
-        geo = _Geometry(board)
-        assert len(geo.edges) == len(placements(board)), board
-        assert {e[:3]: e[3] for e in geo.edges} == {p.edge: p.cells for p in placements(board)}, board
+        geo = built(board)
+        moves = table_moves(geo)
+        assert len(moves) == len(placements(board)), board
+        bits = {p.edge: sorted(cell_bit(geo, cell) for cell in p.cells) for p in placements(board)}
+        assert {key: [x, y] for x, _, _, key, y in moves} == bits, board
+        assert all(mask == 1 << x | 1 << y for x, mask, _, _, y in moves), board
+
+
+def test_line_zero_decides_whether_some_curve_has_no_crossing_edge():
+    """Only a glued line 0 can lack a crossing edge, and its offset 0 tells: checked against fault_curves."""
+    for topo in Topology:
+        for a in range(1, 25):
+            for b in range(1, 25):
+                board = build_board(topo, a, b)
+                assert search._uncrossable(board) == (not all(c.crossing_edges for c in fault_curves(board))), board
+    assert search._uncrossable(build_board("mobius", 1, 1))
+    assert not search._uncrossable(build_board("rectangle", 1, 1))
+
+
+@pytest.mark.parametrize("topo,a,b", [("rectangle", 1, 20000), ("cylinder", 2, 10000)])
+def test_a_search_refuted_at_its_root_builds_only_the_lines_it_reaches(topo, a, b, monkeypatch):
+    """The geometry's cost follows the cells the walk reaches: a few lines and a bounded peak, not the board."""
+    lines = []
+    build = _Geometry._build_line
+
+    def counted(geo):
+        lines.append(geo.end)
+        build(geo)
+
+    monkeypatch.setattr(_Geometry, "_build_line", counted)
+    board = build_board(topo, a, b)
+    tracemalloc.start()
+    try:
+        outcome = find_fault_free(board)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcome.status == "found") == classify(board).tileable and outcome.nodes == 1, board
+    assert len(lines) <= 3, lines
+    assert peak < 8 * 2**20, peak  # a whole-board table peaked at 45.0 and 59.9 MiB on these boards
 
 
 def expanded_cells(board) -> set[int]:
@@ -369,9 +425,8 @@ class TestOneRootMove:
     def test_the_first_root_move_is_the_root_edge(self):
         for board in boards_upto(24, topologies=WRAPPED):
             if board.a > 1:
-                geo = _Geometry(board)
                 for prune in (True, False):
-                    assert geo.edges[next(geo.row(0, prune))[2]][:3] == ("h", 1, 0), (board, prune)
+                    assert next(_Geometry(board).row(0, prune))[2] == ("h", 1, 0), (board, prune)
 
     def test_another_first_move_raises(self, monkeypatch):
         row = _Geometry.row
