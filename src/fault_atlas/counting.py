@@ -54,9 +54,6 @@ class ParitySystem(NamedTuple):
     equations: tuple[tuple[int, int], ...]  # (variable bitmask, rhs bit)
     coverage_groups: tuple[tuple[int, ...], ...]  # variable indices per fault curve
 
-    def var_index(self) -> dict[tuple[str, object], int]:
-        return {(v.kind, v.key): i for i, v in enumerate(self.variables)}
-
 
 class FeasibilityReport(NamedTuple):
     """The counting verdict.

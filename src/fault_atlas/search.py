@@ -2,7 +2,7 @@
 
 This is the ground-truth oracle at small sizes, so completeness is the prime
 contract: a search always runs to completion and ends `found` or
-`exhausted-none`, so `exhausted-none` means the whole (pruned) space was
+`exhausted-none`, so `exhausted-none` means the whole pruned space was
 traversed.  The fault-curve pruning rule is provably safe: a child is cut
 when a curve next to the domino just placed is uncrossed and has no free
 crossing pair (no crossing edge with both cells uncovered).
@@ -50,8 +50,7 @@ cover, is.  A pair's mask is made once, for its move, and the list shares it.
 Scanning the whole list cuts the same children as scanning only the pairs
 above i would: a pair whose lower cell is below i is covered already, and one
 whose lower cell is i is covered in the child, so neither is ever free, and a
-curve with no pair above i is still cut.  The unpruned search gets no prune
-data.
+curve with no pair above i is still cut.
 
 On a cylinder, torus or Moebius strip with a >= 2 the search keeps one root
 move.  Every fault-free tiling crosses horizontal line 1, and only a
@@ -239,7 +238,7 @@ class _Geometry:
         self.growing[k] = (grow, total)
         return grow
 
-    def row(self, i: int, prune: bool) -> Iterator[tuple]:
+    def row(self, i: int) -> Iterator[tuple]:
         """Cell i's moves in the order they are tried, each made when asked for: (cells mask, curve bit, key, near)."""
         at, entry = self.at, self.entry
         while self.end <= i:
@@ -247,7 +246,7 @@ class _Geometry:
         for mask, k, key, y in self.below[i]:
             while self.end <= y:  # the curves at y are all known once y's line is built
                 self._build_line()
-            near = at[i] | at[y] if prune else set()  # the curves at the domino's cells
+            near = at[i] | at[y]  # the curves at the domino's cells
             near.discard(k)
             for c in near:
                 if entry[c] is None:
@@ -255,17 +254,17 @@ class _Geometry:
             yield mask, 1 << k, key, tuple([entry[c] for c in near])
 
 
-def _traverse(board: BoardSpec, *, prune: bool) -> tuple:
-    """Walk the (pruned) search tree up to the first fault-free tiling.
+def _traverse(board: BoardSpec) -> tuple:
+    """Walk the pruned search tree up to the first fault-free tiling.
 
     Returns (whether one was found, nodes, pruned children, memo hits, the found tiling's edge keys).
     """
     if board.area % 2:
         return False, 0, 0, 0, []
-    if prune and _uncrossable(board):  # a curve no domino crosses: no tiling is fault-free
+    if _uncrossable(board):  # a curve no domino crosses: no tiling is fault-free
         return False, 0, 0, 0, []
     geo = _Geometry(board)
-    full, root = geo.full, geo.row(0, prune)
+    full, root = geo.full, geo.row(0)
     if board.topology is not _RECTANGLE and board.a > 1:
         # Some shift along the glued columns puts a domino across line 1 on edge ("h", 1, 0).
         root = [next(root)]  # the other root moves are never built
@@ -310,7 +309,7 @@ def _traverse(board: BoardSpec, *, prune: bool) -> tuple:
                 else:  # descend into the child
                     nodes += 1
                     if (row := moves[i]) is None:  # the walk expands cell i for the first time
-                        row = moves[i] = [*geo.row(i, prune)]
+                        row = moves[i] = [*geo.row(i)]
                     stack.append((cover, crossed, line_start, untried, key))
                     cover, crossed, line_start, untried = child, now, not i % width, iter(row)
                     break
@@ -325,9 +324,9 @@ def _traverse(board: BoardSpec, *, prune: bool) -> tuple:
             cover, crossed, line_start, untried, _ = stack.pop()
 
 
-def find_fault_free(board: BoardSpec, *, prune: bool = True) -> SearchOutcome:
+def find_fault_free(board: BoardSpec) -> SearchOutcome:
     """Search for a fault-free tiling; exhausted-none means none exists."""
-    found, nodes, pruned, hits, keys = _traverse(board, prune=prune)
+    found, nodes, pruned, hits, keys = _traverse(board)
     if not found:
         return SearchOutcome(EXHAUSTED, None, nodes, pruned, hits)
     witness = tiling_from_edges(board, keys)

@@ -21,7 +21,7 @@ import functools
 import os
 import stat
 from pathlib import Path
-from typing import Collection, Iterable
+from typing import Collection
 
 from .classify import classify, matching_tileable_families
 from .errors import (ExpansionFailedError, InvalidWitnessError, InvariantError, WitnessDecodeError,
@@ -70,11 +70,7 @@ class WitnessStore:
         return tiling
 
     def save(self, tiling: Tiling) -> Path:
-        return self._save_keys(tiling.board, (p.edge for p in tiling.dominoes))
-
-    def _save_keys(self, board: BoardSpec, keys: Iterable[EdgeKey]) -> Path:
-        """Write the tiling with these edge keys as `board`'s entry, making the directory if missing."""
-        return self._save_text(board, _encode_keys(board, keys))
+        return self._save_text(tiling.board, encode(tiling))
 
     def _save_text(self, board: BoardSpec, text: str) -> Path:
         """Write an encoded witness document as `board`'s entry, making the directory if missing."""
@@ -158,7 +154,7 @@ def _witness_keys(board: BoardSpec, store: WitnessStore | None) -> Collection[Ed
     if not _verify_keys(board, keys).fault_free:
         raise InvariantError(f"witness for {board} fails verification")
     if store is not None:
-        store._save_keys(board, keys)
+        store._save_text(board, _encode_keys(board, keys))
     return keys
 
 

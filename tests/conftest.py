@@ -297,13 +297,18 @@ def parity_classes(system: ParitySystem) -> Iterator[tuple[int, ...]]:
         yield tuple((vec >> i) & 1 for i in range(n))
 
 
+def var_index(system: ParitySystem) -> dict[tuple[str, object], int]:
+    """Each variable's index in the system, by its (kind, key)."""
+    return {(v.kind, v.key): i for i, v in enumerate(system.variables)}
+
+
 def sweep_order(system: ParitySystem) -> list[tuple[str, object]]:
     """The counting pass's variable order, (kind, key) each: rows, then the seam and the columns.
 
     On a Moebius strip each wrap pair {j, a-1-j} comes just before lines j+1
     and a-1-j, which keeps the pass a few state bits wide.
     """
-    index = system.var_index()
+    index = var_index(system)
     a, b = system.board.a, system.board.b
     if system.board.topology is Topology.MOBIUS:
         rows = [key for j in range((a + 1) // 2)
@@ -392,7 +397,7 @@ def system_violations(board: BoardSpec, tiling: Tiling) -> list[str]:
               **{("u", pair): n for pair, n in u.items()}}  # u is empty off a Moebius strip
     if board.topology in (Topology.CYLINDER, Topology.TORUS):
         values["s", None] = s
-    index = system.var_index()
+    index = var_index(system)
     out = [f"unknown variable {key}" for key in values if key not in index]
     vec = [values.get((var.kind, var.key), 0) for var in system.variables]
     out += [f"{var.kind} {var.key} = {n} outside [0, {var.cap}]"

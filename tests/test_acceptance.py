@@ -24,7 +24,7 @@ from fault_atlas import (
 from fault_atlas.charts import build_chart, chart_text
 from fault_atlas.witnesses import WitnessStore
 from fault_atlas.expansion import expand
-from conftest import base_witnesses, system_violations
+from conftest import base_witnesses, enumerate_fault_free, system_violations
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -157,10 +157,10 @@ def test_criterion_8_pruning_soundness():
                     continue
                 board = build_board(topo, a, b)
                 boards += 1
-                on = find_fault_free(board, prune=True)
-                off = find_fault_free(board, prune=False)
-                assert on.status == off.status, board
-    _report(8, f"pruning on/off agree on {boards} boards with area <= 24")
+                found = find_fault_free(board).status == "found"
+                assert found == (next(enumerate_fault_free(board), None) is not None), board
+    assert boards == 336
+    _report(8, f"the pruned search agrees with brute-force enumeration on {boards} boards with area <= 24")
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -468,9 +468,9 @@ class TestCensus:
         from fault_atlas.witnesses import WitnessStore
 
         saved = []
-        save = WitnessStore._save_keys
-        monkeypatch.setattr(WitnessStore, "_save_keys",
-                            lambda store, board, keys: saved.append(save(store, board, keys).name))
+        save = WitnessStore._save_text
+        monkeypatch.setattr(WitnessStore, "_save_text",
+                            lambda store, board, text: saved.append(save(store, board, text).name))
         cache = tmp_path / "cache"
         code, _, _ = run(capsys, "census", "--topology", "mobius", "--max", str(size),
                          "--out", str(tmp_path / "m.txt"), "--witnesses", str(cache),

@@ -29,6 +29,7 @@ from conftest import (
     step2_runs,
     sweep_order,
     system_violations,
+    var_index,
 )
 
 
@@ -179,7 +180,7 @@ class TestSoundness:
 class TestParitySystem:
     def test_cylinder_4x5_parities(self):
         system = build_parity_system(build_board("cylinder", 4, 5))
-        idx = system.var_index()
+        idx = var_index(system)
         for parities in parity_classes(system):
             assert parities[idx[("x", 1)]] == 1
             assert parities[idx[("x", 2)]] == 0
@@ -196,7 +197,7 @@ class TestParitySystem:
     def test_mobius_4x4_color_balance_forces_even_seam(self):
         board = build_board("mobius", 4, 4)
         system = build_parity_system(board)
-        idx = system.var_index()
+        idx = var_index(system)
         u_indices = [i for (kind, _key), i in idx.items() if kind == "u"]
         for parities in parity_classes(system):
             assert sum(parities[i] for i in u_indices) % 2 == 0
@@ -204,7 +205,7 @@ class TestParitySystem:
     def test_coverage_groups_are_the_fault_curves(self):
         for board in boards_upto(10):
             system = build_parity_system(board)
-            idx = system.var_index()
+            idx = var_index(system)
             u_vars = tuple(i for (kind, _key), i in idx.items() if kind == "u")
             expected = []
             for curve in fault_curves(board):

@@ -67,23 +67,10 @@ class TestFindFaultFree:
             if first.witness is not None:
                 assert first.witness == second.witness
 
-    def test_matches_brute_enumeration(self):
-        for board in boards_upto(6, max_area=12):
-            expected = any(True for _ in enumerate_fault_free(board))
-            got = find_fault_free(board).status == "found"
-            assert got == expected, board
-
     def test_pruned_children_counted(self):
         board = build_board("rectangle", 6, 6)
-        assert find_fault_free(board, prune=False).pruned == 0
         runs = {find_fault_free(board).pruned for _ in range(3)}
         assert len(runs) == 1 and runs.pop() > 0
-
-    def test_pruning_differential_small(self):
-        for board in boards_upto(6, max_area=16):
-            on = find_fault_free(board, prune=True).status
-            off = find_fault_free(board, prune=False).status
-            assert on == off, board
 
 
 class TestOracle:
@@ -191,9 +178,8 @@ def test_searches_leave_no_reference_cycles():
     gc.disable()
     try:
         for board in boards:
-            for prune in (True, False):
-                find_fault_free(board, prune=prune)
-                assert gc.collect() == 0, (prune, board)
+            find_fault_free(board)
+            assert gc.collect() == 0, board
     finally:
         gc.enable()
 
@@ -202,7 +188,7 @@ def test_move_table_carries_each_curves_whole_pair_list():
     """Each move sits at its lower cell and carries every other curve at its cells, with all that curve's pairs."""
     for board in boards_upto(24, max_area=24):
         geo = _Geometry(board)
-        moves = [[*geo.row(i, True)] for i in range(board.area)]  # every row, each built once, lines as they are needed
+        moves = [[*geo.row(i)] for i in range(board.area)]  # every row, each built once, lines as they are needed
         cells = {p.edge: p.cells for p in placements(board)}
         curve_pairs = {c.id: {sum(1 << cell_bit(geo, cell) for cell in cells[e]) for e in c.crossing_edges}
                        for c in fault_curves(board)}
@@ -300,9 +286,9 @@ def test_a_cells_row_is_built_when_the_walk_first_expands_it(monkeypatch):
     built = []
     row = _Geometry.row
 
-    def counted(geo, i, prune):
+    def counted(geo, i):
         built.append(i)
-        return row(geo, i, prune)
+        return row(geo, i)
 
     monkeypatch.setattr(_Geometry, "row", counted)
     for topo, a, b in ("rectangle", 24, 1), ("torus", 2, 6), ("mobius", 4, 2), ("torus", 7, 6):
@@ -366,11 +352,11 @@ class TestFailedStateMemo:
 
         sys.settrace(on_call)
         try:
-            outcome = find_fault_free(build_board("rectangle", 6, 6), prune=False)
+            outcome = find_fault_free(build_board("rectangle", 6, 6))
         finally:
             sys.settrace(None)
         assert outcome.status == "exhausted-none" and outcome.memo_hits > 0
-        assert (outcome.nodes, outcome.memo_hits) == (13701, 1603)  # 19,672 and 1,436 if the old generation went unread
+        assert (outcome.nodes, outcome.memo_hits) == (712, 73)  # 827 and 54 if the old generation went unread
         assert len(sizes) >= outcome.nodes + outcome.memo_hits
         assert max(max(pair) for pair in sizes) == 16  # full generations were kept, and none grew past 16
         retired = sum(later[0] < earlier[0] for earlier, later in zip(sizes, sizes[1:]))
@@ -425,18 +411,15 @@ class TestOneRootMove:
     def test_the_first_root_move_is_the_root_edge(self):
         for board in boards_upto(24, topologies=WRAPPED):
             if board.a > 1:
-                for prune in (True, False):
-                    assert next(_Geometry(board).row(0, prune))[2] == ("h", 1, 0), (board, prune)
+                assert next(_Geometry(board).row(0))[2] == ("h", 1, 0), board
 
     def test_another_first_move_raises(self, monkeypatch):
         row = _Geometry.row
 
-        def root_reversed(geo, i, prune):
-            moves = [*row(geo, i, prune)]
+        def root_reversed(geo, i):
+            moves = [*row(geo, i)]
             return reversed(moves) if i == 0 else iter(moves)
 
         monkeypatch.setattr(_Geometry, "row", root_reversed)
-        board = build_board("cylinder", 4, 6)
-        for prune in (True, False):
-            with pytest.raises(InvariantError, match="is not edge"):
-                find_fault_free(board, prune=prune)
+        with pytest.raises(InvariantError, match="is not edge"):
+            find_fault_free(build_board("cylinder", 4, 6))

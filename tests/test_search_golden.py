@@ -3,7 +3,6 @@
 `tests/golden/search_outcomes.txt` holds one line per search, in this order:
 
 - `fault-free topology a b status nodes sha256 pruned` for every board of area <= 48;
-- `unpruned ...`, the same with `prune=False`, for area <= 24;
 - `count topology a b n`, the number of perfect matchings from the reference
   count in `tests/conftest.py`, for area <= 16.
 
@@ -18,7 +17,6 @@ the status and digest columns must be unchanged:
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from pathlib import Path
 from typing import Iterator
@@ -46,8 +44,6 @@ def _line(kind: str, board, outcome) -> str:
 def outcome_lines() -> Iterator[str]:
     for board in _boards(48):
         yield _line("fault-free", board, find_fault_free(board))
-    for board in _boards(24):
-        yield _line("unpruned", board, find_fault_free(board, prune=False))
     for board in _boards(16):
         yield f"count {board.topology.value} {board.a} {board.b} {count_tilings(board)}"
 
@@ -65,13 +61,11 @@ def test_memo_eviction_moves_only_node_counts(monkeypatch):
     monkeypatch.setattr(search, "MEMO_GENERATION", 2)
     golden = {tuple(fields[:4]): fields for fields in map(str.split, GOLDEN.read_text(encoding="utf-8").splitlines())}
     moved = 0
-    for kind, find, max_area in (("fault-free", find_fault_free, 24),
-                                 ("unpruned", functools.partial(find_fault_free, prune=False), 24)):
-        for board in _boards(max_area):
-            actual = _line(kind, board, find(board)).split()
-            expected = golden[tuple(actual[:4])]
-            assert (actual[4], actual[6]) == (expected[4], expected[6]), actual
-            moved += actual[5] != expected[5]
+    for board in _boards(24):
+        actual = _line("fault-free", board, find_fault_free(board)).split()
+        expected = golden[tuple(actual[:4])]
+        assert (actual[4], actual[6]) == (expected[4], expected[6]), actual
+        moved += actual[5] != expected[5]
     assert moved  # the small memo forgot states and searched them again
 
 
